@@ -867,70 +867,63 @@ void Processor::step() {
   maybe_sample();
 }
 
-RunOutcome Processor::run(std::uint64_t max_cycles) {
-  std::uint64_t last_retired = stats_.retired;
-  std::uint64_t stall_window = 0;
-  constexpr std::uint64_t kStallLimit = 100'000;
+void Processor::write_stall_digest() {
+  std::string digest =
+      "stalled: no retirement for " + std::to_string(stall_window_) +
+      " cycles at cycle " + std::to_string(stats_.cycles) + ", retired " +
+      std::to_string(stats_.retired);
+  if (ruu_.empty()) {
+    digest += ", ruu empty";
+  } else {
+    const RuuEntry& head = ruu_.at(0);
+    static constexpr const char* kStateNames[] = {"waiting", "issued",
+                                                  "done"};
+    digest += ", ruu head pc " + std::to_string(head.pc) + " " +
+              std::string(op_info(head.inst.op).mnemonic) + " (" +
+              kStateNames[static_cast<unsigned>(head.state)] + ")";
+  }
+  digest += ", ruu " + std::to_string(ruu_.size()) + "/" +
+            std::to_string(ruu_.capacity()) + ", queue " +
+            std::to_string(wakeup_.num_entries() - wakeup_.free_entries()) +
+            "/" + std::to_string(wakeup_.num_entries()) + ", alloc [" +
+            loader_.allocation().to_string() + "], target [" +
+            loader_.target().to_string() + "]";
+  if (loader_.reconfiguring().any()) {
+    digest += ", reconfiguring";
+  }
+  if (loader_.fenced().any()) {
+    digest += ", fenced slots " + std::to_string(loader_.fenced().count());
+  }
+  if (loader_.corrupted().any()) {
+    digest +=
+        ", corrupted slots " + std::to_string(loader_.corrupted().count());
+  }
+  fault_message_ = std::move(digest);
+}
 
+RunOutcome Processor::run(std::uint64_t max_cycles) {
   while (!halted_ && !faulted_ && stats_.cycles < max_cycles) {
     // Event-driven skip-ahead: when the machine is provably idle until the
-    // next unit completion, advance the clock in one shot.
-    std::uint64_t advanced = try_skip(max_cycles - stats_.cycles);
+    // next unit completion, advance the clock in one shot. A skip never
+    // crosses the stall limit, so the stall fires at the same cycle
+    // however the run is split into windows.
+    const std::uint64_t stall_left =
+        kStallLimit - std::min(stall_window_, kStallLimit);
+    std::uint64_t advanced =
+        try_skip(std::min(max_cycles - stats_.cycles, stall_left));
     if (advanced == 0) {
       step();
       advanced = 1;
     }
-    if (stats_.retired == last_retired) {
-      stall_window += advanced;
-      if (stall_window >= kStallLimit) {
-        // One-line machine-state digest so a stall report is actionable
-        // without rerunning under a debugger.
-        std::string digest =
-            "stalled: no retirement for " + std::to_string(stall_window) +
-            " cycles at cycle " + std::to_string(stats_.cycles) +
-            ", retired " + std::to_string(stats_.retired);
-        if (ruu_.empty()) {
-          digest += ", ruu empty";
-        } else {
-          const RuuEntry& head = ruu_.at(0);
-          static constexpr const char* kStateNames[] = {"waiting", "issued",
-                                                        "done"};
-          digest += ", ruu head pc " + std::to_string(head.pc) + " " +
-                    std::string(op_info(head.inst.op).mnemonic) + " (" +
-                    kStateNames[static_cast<unsigned>(head.state)] + ")";
-        }
-        digest += ", ruu " + std::to_string(ruu_.size()) + "/" +
-                  std::to_string(ruu_.capacity()) + ", queue " +
-                  std::to_string(wakeup_.num_entries() -
-                                 wakeup_.free_entries()) +
-                  "/" + std::to_string(wakeup_.num_entries()) +
-                  ", alloc [" + loader_.allocation().to_string() +
-                  "], target [" + loader_.target().to_string() + "]";
-        if (loader_.reconfiguring().any()) {
-          digest += ", reconfiguring";
-        }
-        if (loader_.fenced().any()) {
-          digest +=
-              ", fenced slots " + std::to_string(loader_.fenced().count());
-        }
-        if (loader_.corrupted().any()) {
-          digest += ", corrupted slots " +
-                    std::to_string(loader_.corrupted().count());
-        }
-        fault_message_ = std::move(digest);
-        flush_sampler();
-        return RunOutcome::kStalled;
-      }
-    } else {
-      last_retired = stats_.retired;
-      stall_window = 0;
+    if (stalled_after(advanced)) {
+      flush_sampler();
+      return RunOutcome::kStalled;
     }
   }
+  flush_sampler();
   if (faulted_) {
-    flush_sampler();
     return RunOutcome::kFault;
   }
-  flush_sampler();
   return halted_ ? RunOutcome::kHalted : RunOutcome::kMaxCycles;
 }
 

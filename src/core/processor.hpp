@@ -155,9 +155,31 @@ class Processor {
   /// Advances one clock cycle.
   void step();
 
-  /// Runs until HALT retires, a fault commits, or `max_cycles` elapse.
+  /// Runs until HALT retires, a fault commits, the stall detector fires,
+  /// or the absolute cycle target `max_cycles` is reached. Resumable: a
+  /// run split into windows ends exactly where a one-shot run does.
   RunOutcome run(std::uint64_t max_cycles = 50'000'000);
 
+  /// The no-retirement stall detector shared by run() and the multi-core
+  /// lockstep driver: counts `advanced` cycles without a commit and, once
+  /// kStallLimit of them accumulate, writes the machine-state digest to
+  /// fault_message() and returns true. Its window persists across run()
+  /// calls.
+  bool stalled_after(std::uint64_t advanced) {
+    if (stats_.retired != stall_retired_) {
+      stall_retired_ = stats_.retired;
+      stall_window_ = 0;
+      return false;
+    }
+    stall_window_ += advanced;
+    if (stall_window_ < kStallLimit) [[likely]] {
+      return false;
+    }
+    write_stall_digest();
+    return true;
+  }
+
+  std::uint64_t cycles() const { return stats_.cycles; }
   bool halted() const { return halted_; }
   /// True once an injected fault escaped recovery (run() would return
   /// RunOutcome::kFault); the multi-core lockstep driver mirrors run()'s
@@ -264,6 +286,12 @@ class Processor {
 
   bool valid_access(std::uint64_t addr, unsigned size) const;
   void fault(std::string message);
+  /// One-line machine-state digest of a stall, so the report is actionable
+  /// without rerunning under a debugger.
+  void write_stall_digest();
+
+  /// Cycles without a retirement before the machine counts as stalled.
+  static constexpr std::uint64_t kStallLimit = 100'000;
 
   MachineConfig config_;
   Program program_;
@@ -308,6 +336,10 @@ class Processor {
   bool rollback_pending_ = false;
   /// Loader ecc_uncorrectable count already inspected for triggers.
   std::uint64_t ecc_uncorrectable_seen_ = 0;
+  /// Stall detector state: retired count at the last commit, and cycles
+  /// advanced since.
+  std::uint64_t stall_retired_ = 0;
+  std::uint64_t stall_window_ = 0;
   std::string fault_message_;
 };
 

@@ -7,14 +7,6 @@
 #include "common/contracts.hpp"
 
 namespace steersim {
-namespace {
-
-/// Mirrors Processor::run()'s no-retirement stall limit: the lockstep
-/// driver cannot reuse run() (rounds interleave cores), so it re-applies
-/// the same cutoff per core.
-constexpr std::uint64_t kStallLimit = 100'000;
-
-}  // namespace
 
 MultiCoreSim::MultiCoreSim(std::vector<CoreSpec> specs,
                            const MultiCoreParams& params)
@@ -46,8 +38,6 @@ MultiCoreSim::MultiCoreSim(std::vector<CoreSpec> specs,
   }
   outcome_.assign(n, RunOutcome::kMaxCycles);
   finished_.assign(n, false);
-  last_retired_.assign(n, 0);
-  stall_window_.assign(n, 0);
   live_ = n;
 }
 
@@ -75,13 +65,8 @@ RunOutcome MultiCoreSim::run(std::uint64_t max_cycles) {
         finish_core(k, RunOutcome::kHalted);
       } else if (cpu.faulted()) {
         finish_core(k, RunOutcome::kFault);
-      } else if (cpu.stats().retired == last_retired_[k]) {
-        if (++stall_window_[k] >= kStallLimit) {
-          finish_core(k, RunOutcome::kStalled);
-        }
-      } else {
-        last_retired_[k] = cpu.stats().retired;
-        stall_window_[k] = 0;
+      } else if (cpu.stalled_after(1)) {
+        finish_core(k, RunOutcome::kStalled);
       }
     }
     fabric_->end_cycle(cores);
@@ -100,6 +85,16 @@ RunOutcome MultiCoreSim::run(std::uint64_t max_cycles) {
     }
   }
   return worst;
+}
+
+std::string MultiCoreSim::fault_message() const {
+  for (unsigned k = 0; k < cores_.size(); ++k) {
+    if (outcome_[k] == RunOutcome::kFault ||
+        outcome_[k] == RunOutcome::kStalled) {
+      return "core" + std::to_string(k) + ": " + cores_[k]->fault_message();
+    }
+  }
+  return {};
 }
 
 MultiCoreResult MultiCoreSim::collect() {

@@ -64,7 +64,9 @@ class MultiCoreSim {
   }
   Processor& core(unsigned k) { return *cores_[k]; }
   const Processor& core(unsigned k) const { return *cores_[k]; }
-  RunOutcome core_outcome(unsigned k) const { return outcome_[k]; }
+  /// The first faulted or stalled core's digest as "coreK: <digest>";
+  /// empty while no core has faulted or stalled.
+  std::string fault_message() const;
   const SharedFabric& fabric() const { return *fabric_; }
 
   /// Gathers every core's SimResult plus fabric statistics; flushes
@@ -84,8 +86,6 @@ class MultiCoreSim {
   std::unique_ptr<Tracer> fabric_tracer_;
   std::vector<RunOutcome> outcome_;
   std::vector<bool> finished_;
-  std::vector<std::uint64_t> last_retired_;
-  std::vector<std::uint64_t> stall_window_;
   unsigned live_ = 0;
   std::uint64_t cycle_ = 0;
   bool traces_merged_ = false;

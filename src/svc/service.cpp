@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <future>
 #include <map>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "common/strings.hpp"
 #include "frontend/elf_loader.hpp"
@@ -28,7 +29,7 @@ namespace {
 
 /// Range- and integrality-checked knob conversion: MachineConfig widths
 /// are small unsigneds, so 1e9 is already far past any meaningful value.
-bool knob_to_unsigned(double value, unsigned& out) {
+bool knob_value(double value, unsigned& out) {
   if (value < 0.0 || value > 1e9 || value != std::floor(value)) {
     return false;
   }
@@ -36,7 +37,7 @@ bool knob_to_unsigned(double value, unsigned& out) {
   return true;
 }
 
-bool knob_to_bool(double value, bool& out) {
+bool knob_value(double value, bool& out) {
   if (value != 0.0 && value != 1.0) {
     return false;
   }
@@ -44,45 +45,42 @@ bool knob_to_bool(double value, bool& out) {
   return true;
 }
 
-/// The MachineConfig surface the protocol exposes. Anything else (fault
-/// injection, tracing, recovery...) stays a server-side decision.
+/// The knob table, in cache-key order.
+constexpr ConfigKnob kConfigKnobs[] = {
+    {"fetch_width", &MachineConfig::fetch_width},
+    {"queue_entries", &MachineConfig::queue_entries},
+    {"ruu_entries", &MachineConfig::ruu_entries},
+    {"retire_width", &MachineConfig::retire_width},
+    {"issue_width", &MachineConfig::issue_width},
+    {"pipelined_units", &MachineConfig::pipelined_units},
+    {"use_trace_cache", &MachineConfig::use_trace_cache},
+    {"trace_cache_lines", &MachineConfig::trace_cache_lines},
+    {"trace_length", &MachineConfig::trace_length},
+    {"use_dcache", &MachineConfig::use_dcache},
+};
+
 bool apply_knob(MachineConfig& machine, const std::string& name,
                 double value, std::string& error) {
-  bool ok = false;
-  if (name == "fetch_width") {
-    ok = knob_to_unsigned(value, machine.fetch_width);
-  } else if (name == "queue_entries") {
-    ok = knob_to_unsigned(value, machine.queue_entries);
-  } else if (name == "ruu_entries") {
-    ok = knob_to_unsigned(value, machine.ruu_entries);
-  } else if (name == "retire_width") {
-    ok = knob_to_unsigned(value, machine.retire_width);
-  } else if (name == "issue_width") {
-    ok = knob_to_unsigned(value, machine.issue_width);
-  } else if (name == "trace_cache_lines") {
-    ok = knob_to_unsigned(value, machine.trace_cache_lines);
-  } else if (name == "trace_length") {
-    ok = knob_to_unsigned(value, machine.trace_length);
-  } else if (name == "pipelined_units") {
-    ok = knob_to_bool(value, machine.pipelined_units);
-  } else if (name == "use_trace_cache") {
-    ok = knob_to_bool(value, machine.use_trace_cache);
-  } else if (name == "use_dcache") {
-    ok = knob_to_bool(value, machine.use_dcache);
-  } else {
-    error = "unknown config knob '" + name + "'";
-    return false;
+  for (const ConfigKnob& knob : kConfigKnobs) {
+    if (knob.name != name) {
+      continue;
+    }
+    const bool ok = std::visit(
+        [&](auto member) { return knob_value(value, machine.*member); },
+        knob.field);
+    if (!ok) {
+      error = "config knob '" + name + "' has an out-of-range value";
+    }
+    return ok;
   }
-  if (!ok) {
-    error = "config knob '" + name + "' has an out-of-range value";
-  }
-  return ok;
+  error = "unknown config knob '" + name + "'";
+  return false;
 }
 
 /// Canonical rendering of everything that influences a job's simulated
 /// outcome besides the program bytes: the digestable half of the cache
-/// key. Field order is fixed; extending the knob surface extends this
-/// list (and thereby invalidates old cache entries, which is correct).
+/// key. Field order is fixed; extending the knob table extends this key
+/// (and thereby invalidates old cache entries, which is correct).
 std::string effective_config_key(const MachineConfig& machine,
                                  const PolicySpec& spec,
                                  std::uint64_t budget) {
@@ -93,16 +91,13 @@ std::string effective_config_key(const MachineConfig& machine,
     key += std::to_string(value);
     key += ';';
   };
-  field("fetch_width", machine.fetch_width);
-  field("queue_entries", machine.queue_entries);
-  field("ruu_entries", machine.ruu_entries);
-  field("retire_width", machine.retire_width);
-  field("issue_width", machine.issue_width);
-  field("pipelined_units", machine.pipelined_units ? 1 : 0);
-  field("use_trace_cache", machine.use_trace_cache ? 1 : 0);
-  field("trace_cache_lines", machine.trace_cache_lines);
-  field("trace_length", machine.trace_length);
-  field("use_dcache", machine.use_dcache ? 1 : 0);
+  for (const ConfigKnob& knob : kConfigKnobs) {
+    field(knob.name, std::visit(
+                         [&](auto member) {
+                           return static_cast<std::uint64_t>(machine.*member);
+                         },
+                         knob.field));
+  }
   field("policy_kind", static_cast<std::uint64_t>(spec.kind));
   field("preset_index", spec.preset_index);
   field("cem", static_cast<std::uint64_t>(spec.cem));
@@ -115,16 +110,49 @@ std::string effective_config_key(const MachineConfig& machine,
   return key;
 }
 
-const Kernel* find_kernel(const std::string& name) {
-  for (const Kernel& kernel : kernel_library()) {
-    if (kernel.name == name) {
-      return &kernel;
+/// A submitted program plus the bytes its digest covers: asm text for
+/// kernel and asm jobs, the raw ELF image for elf jobs (identical binaries
+/// share one cache entry whatever name they were submitted under).
+struct ResolvedProgram {
+  Program program;
+  std::string digest_bytes;
+};
+
+/// Loads the program a kernel name, ELF fixture name or asm source names
+/// (the first non-empty one). Returns nullopt with `error` set for an
+/// unknown name; assembler, ELF and RV32 errors propagate as exceptions.
+std::optional<ResolvedProgram> resolve_program(const std::string& kernel,
+                                               const std::string& elf,
+                                               const std::string& asm_source,
+                                               std::string& error) {
+  if (!kernel.empty()) {
+    for (const Kernel& k : kernel_library()) {
+      if (k.name == kernel) {
+        return ResolvedProgram{assemble(k.source, k.name), k.source};
+      }
     }
+    error = "unknown kernel '" + kernel + "'";
+    return std::nullopt;
   }
-  return nullptr;
+  if (!elf.empty()) {
+    const Rv32Fixture* fixture = rv32_fixture_find(elf);
+    if (fixture == nullptr) {
+      error = "unknown elf fixture '" + elf + "'";
+      return std::nullopt;
+    }
+    const std::vector<std::uint8_t> image = rv32_fixture_elf(*fixture);
+    return ResolvedProgram{
+        elf::load_elf_program(
+            std::span<const std::uint8_t>(image.data(), image.size()),
+            fixture->name),
+        std::string(image.begin(), image.end())};
+  }
+  return ResolvedProgram{assemble(asm_source, "asm"), asm_source};
 }
 
 }  // namespace
+
+std::span<const ConfigKnob> config_knobs() { return kConfigKnobs; }
 
 std::string canonical_metrics_json(const MetricRegistry& registry) {
   std::map<std::string, double> sorted;
@@ -262,6 +290,11 @@ Reply SimService::handle_submit(const Request& request) {
     return Reply::error(request.id, error_code::kShuttingDown,
                         "service is draining");
   }
+  const auto reject = [&](std::string message) {
+    bad_requests_.fetch_add(1, std::memory_order_relaxed);
+    return Reply::error(request.id, error_code::kBadRequest,
+                        std::move(message));
+  };
 
   const bool has_kernel = !request.kernel.empty();
   const bool has_asm = !request.asm_source.empty();
@@ -269,145 +302,71 @@ Reply SimService::handle_submit(const Request& request) {
   const bool is_multi = !request.multi.empty();
   if (is_multi) {
     if (has_kernel || has_asm || has_elf) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      return Reply::error(request.id, error_code::kBadRequest,
-                          "'multi' is exclusive with 'kernel', 'asm' and "
-                          "'elf'");
+      return reject("'multi' is exclusive with 'kernel', 'asm' and 'elf'");
     }
     if (request.multi.size() > 8) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      return Reply::error(request.id, error_code::kBadRequest,
-                          "'multi' supports 1..8 cores");
+      return reject("'multi' supports 1..8 cores");
     }
   } else if (static_cast<int>(has_kernel) + static_cast<int>(has_asm) +
                  static_cast<int>(has_elf) !=
              1) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Reply::error(request.id, error_code::kBadRequest,
-                        "exactly one of 'kernel', 'asm' and 'elf' is "
-                        "required");
+    return reject("exactly one of 'kernel', 'asm' and 'elf' is required");
   }
   auto job = std::make_shared<Job>();
   job->request = request;
   job->wall_ms = request.wall_ms;
   if (is_multi && !parse_arbiter(request.arbiter, job->arbiter)) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Reply::error(request.id, error_code::kBadRequest,
-                        "unknown arbiter '" + request.arbiter + "'");
+    return reject("unknown arbiter '" + request.arbiter + "'");
   }
-  // `source` is what the job digest covers alongside the effective
-  // config: asm text for kernel/asm jobs, the raw ELF image bytes for elf
-  // jobs (identical binaries share one cache entry whatever name they
-  // were submitted under). Multi-core jobs digest every core's source and
-  // policy label plus the arbiter, accumulated into `multi_digest`.
-  std::string elf_image_bytes;
-  std::string_view source;
-  std::string program_name;
-  Fnv1a multi_digest;
+  // The job digest covers the program bytes alongside the effective
+  // config. Multi-core jobs digest every core's bytes and policy label
+  // plus the arbiter.
+  Fnv1a digest;
+  std::string error;
   try {
     if (is_multi) {
-      multi_digest.mix("multi");
+      digest.mix("multi");
       for (const MultiEntry& entry : request.multi) {
-        const bool entry_kernel = !entry.kernel.empty();
-        const bool entry_elf = !entry.elf.empty();
-        if (entry_kernel == entry_elf) {
-          bad_requests_.fetch_add(1, std::memory_order_relaxed);
-          return Reply::error(request.id, error_code::kBadRequest,
-                              "each 'multi' entry needs exactly one of "
-                              "'kernel' and 'elf'");
+        if (entry.kernel.empty() == entry.elf.empty()) {
+          return reject(
+              "each 'multi' entry needs exactly one of 'kernel' and 'elf'");
         }
         CoreSpec core;
         if (!parse_policy(entry.policy, core.policy)) {
-          bad_requests_.fetch_add(1, std::memory_order_relaxed);
-          return Reply::error(request.id, error_code::kBadRequest,
-                              "unknown policy '" + entry.policy + "'");
+          return reject("unknown policy '" + entry.policy + "'");
         }
-        if (entry_kernel) {
-          const Kernel* kernel = find_kernel(entry.kernel);
-          if (kernel == nullptr) {
-            bad_requests_.fetch_add(1, std::memory_order_relaxed);
-            return Reply::error(request.id, error_code::kBadRequest,
-                                "unknown kernel '" + entry.kernel + "'");
-          }
-          multi_digest.mix(kernel->source);
-          core.program = assemble(kernel->source, kernel->name);
-        } else {
-          const Rv32Fixture* fixture = rv32_fixture_find(entry.elf);
-          if (fixture == nullptr) {
-            bad_requests_.fetch_add(1, std::memory_order_relaxed);
-            return Reply::error(request.id, error_code::kBadRequest,
-                                "unknown elf fixture '" + entry.elf + "'");
-          }
-          const std::vector<std::uint8_t> image = rv32_fixture_elf(*fixture);
-          multi_digest.mix(std::string_view(
-              reinterpret_cast<const char*>(image.data()), image.size()));
-          core.program = elf::load_elf_program(
-              std::span<const std::uint8_t>(image.data(), image.size()),
-              fixture->name);
+        auto resolved = resolve_program(entry.kernel, entry.elf, {}, error);
+        if (!resolved) {
+          return reject(error);
         }
-        multi_digest.mix(entry.policy);
+        digest.mix(resolved->digest_bytes).mix(entry.policy);
+        core.program = std::move(resolved->program);
         job->cores.push_back(std::move(core));
       }
-      multi_digest.mix(arbiter_name(job->arbiter));
+      digest.mix(arbiter_name(job->arbiter));
     } else {
-      if (has_kernel) {
-        const Kernel* kernel = find_kernel(request.kernel);
-        if (kernel == nullptr) {
-          bad_requests_.fetch_add(1, std::memory_order_relaxed);
-          return Reply::error(request.id, error_code::kBadRequest,
-                              "unknown kernel '" + request.kernel + "'");
-        }
-        source = kernel->source;
-        program_name = kernel->name;
-      } else if (has_elf) {
-        const Rv32Fixture* fixture = rv32_fixture_find(request.elf);
-        if (fixture == nullptr) {
-          bad_requests_.fetch_add(1, std::memory_order_relaxed);
-          return Reply::error(request.id, error_code::kBadRequest,
-                              "unknown elf fixture '" + request.elf + "'");
-        }
-        const std::vector<std::uint8_t> image = rv32_fixture_elf(*fixture);
-        elf_image_bytes.assign(image.begin(), image.end());
-        source = elf_image_bytes;
-        program_name = fixture->name;
-      } else {
-        source = request.asm_source;
-        program_name = "asm";
+      auto resolved = resolve_program(request.kernel, request.elf,
+                                      request.asm_source, error);
+      if (!resolved) {
+        return reject(error);
       }
-      if (has_elf) {
-        const auto* bytes =
-            reinterpret_cast<const std::uint8_t*>(elf_image_bytes.data());
-        job->program = elf::load_elf_program(
-            std::span<const std::uint8_t>(bytes, elf_image_bytes.size()),
-            program_name);
-      } else {
-        job->program = assemble(source, program_name);
-      }
+      digest.mix(resolved->digest_bytes);
+      job->program = std::move(resolved->program);
     }
   } catch (const AssemblyError& e) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Reply::error(request.id, error_code::kBadRequest,
-                        "assembly failed: " + std::string(e.what()));
+    return reject("assembly failed: " + std::string(e.what()));
   } catch (const elf::ElfError& e) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Reply::error(request.id, error_code::kBadRequest,
-                        "elf load failed: " + std::string(e.what()));
+    return reject("elf load failed: " + std::string(e.what()));
   } catch (const rv32::Rv32Error& e) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Reply::error(request.id, error_code::kBadRequest,
-                        "rv32 translation failed: " + std::string(e.what()));
+    return reject("rv32 translation failed: " + std::string(e.what()));
   }
 
   if (!parse_policy(request.policy, job->spec)) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Reply::error(request.id, error_code::kBadRequest,
-                        "unknown policy '" + request.policy + "'");
+    return reject("unknown policy '" + request.policy + "'");
   }
   if (request.interval < 1 || request.interval > 1'000'000 ||
       request.confirm < 1 || request.confirm > 1'000'000) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return Reply::error(request.id, error_code::kBadRequest,
-                        "'interval' and 'confirm' must be in [1, 1e6]");
+    return reject("'interval' and 'confirm' must be in [1, 1e6]");
   }
   job->spec.interval = static_cast<unsigned>(request.interval);
   job->spec.confirm = static_cast<unsigned>(request.confirm);
@@ -423,10 +382,8 @@ Reply SimService::handle_submit(const Request& request) {
   }
 
   for (const auto& [name, value] : request.config) {
-    std::string error;
     if (!apply_knob(job->machine, name, value, error)) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      return Reply::error(request.id, error_code::kBadRequest, error);
+      return reject(error);
     }
   }
 
@@ -434,14 +391,9 @@ Reply SimService::handle_submit(const Request& request) {
                     ? config_.default_max_cycles
                     : std::min(request.max_cycles,
                                config_.max_cycles_ceiling);
-  const std::string config_key =
-      effective_config_key(job->machine, job->spec, job->budget);
-  job->key = is_multi ? multi_digest.mix(config_key).value()
-                      : job_digest(source, config_key);
-  char hex[32];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(job->key));
-  job->digest_hex = hex;
+  digest.mix(effective_config_key(job->machine, job->spec, job->budget));
+  job->key = digest.value();
+  job->digest_hex = digest.hex();
 
   if (auto chaos = ChaosInjector::global()) {
     chaos->maybe_cache_slow();
@@ -476,15 +428,17 @@ Reply SimService::handle_submit(const Request& request) {
 
 void SimService::run_job(Job& job) {
   job.worker_slot.store(pool_.current_slot(), std::memory_order_release);
-  if (job.replied.load(std::memory_order_acquire)) {
-    // The watchdog already answered this job (its deadline blew while it
-    // sat in the queue and the grace period elapsed); only bookkeeping
-    // remains.
-    job.worker_slot.store(WorkerPool<JobPtr>::kNoSlot,
-                          std::memory_order_release);
-    unregister_watch(job);
-    return;
+  // A job the watchdog already answered (its deadline blew while it sat in
+  // the queue and the grace period elapsed) needs only the bookkeeping.
+  if (!job.replied.load(std::memory_order_acquire)) {
+    execute(job);
   }
+  job.worker_slot.store(WorkerPool<JobPtr>::kNoSlot,
+                        std::memory_order_release);
+  unregister_watch(job);
+}
+
+void SimService::execute(Job& job) {
   if (auto chaos = ChaosInjector::global()) {
     // Deliberately outside the try below: a chaos crash models an
     // exception the job wrapper itself fails to absorb, so it must reach
@@ -494,15 +448,10 @@ void SimService::run_job(Job& job) {
     chaos->maybe_worker_crash();
   }
   WallTimer timer;
-  Reply reply;
-  reply.id = job.request.id;
   if (stop_now_.load(std::memory_order_relaxed)) {
     cancelled_.fetch_add(1, std::memory_order_relaxed);
     deliver(job, Reply::error(job.request.id, error_code::kCancelled,
                               "cancelled before start"));
-    job.worker_slot.store(WorkerPool<JobPtr>::kNoSlot,
-                          std::memory_order_release);
-    unregister_watch(job);
     return;
   }
   if (job.cancel.load(std::memory_order_acquire)) {
@@ -511,86 +460,31 @@ void SimService::run_job(Job& job) {
                          "wall deadline " + std::to_string(job.wall_ms) +
                              " ms exceeded before the job started; resubmit",
                          /*retriable=*/true));
-    job.worker_slot.store(WorkerPool<JobPtr>::kNoSlot,
-                          std::memory_order_release);
-    unregister_watch(job);
     return;
   }
+  Reply reply;
   try {
-    if (!job.cores.empty()) {
-      run_multi(job, reply);
-      if (deliver(job, std::move(reply))) {
-        record_latency(timer.seconds());
-      }
-      job.worker_slot.store(WorkerPool<JobPtr>::kNoSlot,
-                            std::memory_order_release);
-      unregister_watch(job);
-      return;
-    }
-    auto cpu = make_processor(job.program, job.machine, job.spec);
-    // Deadline via the cycle budget, cancellation at sampler-window
-    // granularity: run() is resumable (max_cycles is an absolute target),
-    // so the worker advances one window at a time and polls the stop flag
-    // between windows. Jobs with sampling configured use their own period
-    // so cancellation never lands mid-window.
-    const std::uint64_t window = job.machine.sample.enabled()
-                                     ? job.machine.sample.period
-                                     : config_.cancel_check_cycles;
-    RunOutcome outcome = RunOutcome::kMaxCycles;
-    bool cancelled = false;
-    bool wall_expired = false;
-    while (true) {
-      const std::uint64_t target =
-          std::min(job.budget, cpu->stats().cycles + window);
-      outcome = cpu->run(target);
-      if (outcome != RunOutcome::kMaxCycles ||
-          cpu->stats().cycles >= job.budget) {
-        break;
-      }
-      if (stop_now_.load(std::memory_order_relaxed)) {
-        cancelled = true;
-        break;
-      }
-      if (job.cancel.load(std::memory_order_relaxed)) {
-        wall_expired = true;
-        break;
-      }
-    }
-    if (cancelled) {
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
-      reply = Reply::error(job.request.id, error_code::kCancelled,
-                           "cancelled at cycle " +
-                               std::to_string(cpu->stats().cycles));
-    } else if (wall_expired) {
-      // Counted by the watchdog when it set job.cancel.
-      reply = Reply::error(job.request.id, error_code::kWallDeadline,
-                           "wall deadline " + std::to_string(job.wall_ms) +
-                               " ms exceeded at cycle " +
-                               std::to_string(cpu->stats().cycles) +
-                               "; resubmit",
-                           /*retriable=*/true);
-    } else if (outcome == RunOutcome::kMaxCycles) {
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-      reply = Reply::error(job.request.id, error_code::kDeadline,
-                           "cycle budget " + std::to_string(job.budget) +
-                               " exhausted before HALT");
-    } else if (outcome == RunOutcome::kStalled ||
-               outcome == RunOutcome::kFault) {
-      sim_faults_.fetch_add(1, std::memory_order_relaxed);
-      reply = Reply::error(job.request.id, error_code::kSimFault,
-                           cpu->fault_message());
+    if (job.cores.empty()) {
+      auto cpu = make_processor(job.program, job.machine, job.spec);
+      reply = run_windowed(job, *cpu, "HALT", [&](Reply& result) {
+        const SimResult sim =
+            collect_result(*cpu, job.spec, RunOutcome::kHalted);
+        result.policy = sim.policy;
+        result.retired = sim.stats.retired;
+        result.metrics_json = canonical_metrics_json(collect_metrics(sim));
+      });
     } else {
-      const SimResult result = collect_result(*cpu, job.spec, outcome);
-      reply.type = ReplyType::kResult;
-      reply.cache = "miss";
-      reply.digest = job.digest_hex;
-      reply.policy = result.policy;
-      reply.outcome = std::string(outcome_name(outcome));
-      reply.cycles = result.stats.cycles;
-      reply.retired = result.stats.retired;
-      reply.metrics_json = canonical_metrics_json(collect_metrics(result));
-      cache_.insert(job.key, reply);
-      completed_.fetch_add(1, std::memory_order_relaxed);
+      MultiCoreParams params;
+      params.arbiter = job.arbiter;
+      params.machine = job.machine;
+      MultiCoreSim multi(job.cores, params);
+      reply = run_windowed(job, multi, "every core halted", [&](Reply& result) {
+        const MultiCoreResult sim = multi.collect();
+        result.policy = "multi:" + std::string(arbiter_name(job.arbiter));
+        result.retired = sim.fabric.total_retired;
+        result.metrics_json =
+            canonical_metrics_json(collect_multicore_metrics(sim));
+      });
     }
   } catch (const std::invalid_argument& e) {
     // Processor::validated rejected the override combination.
@@ -603,83 +497,62 @@ void SimService::run_job(Job& job) {
   if (deliver(job, std::move(reply))) {
     record_latency(timer.seconds());
   }
-  job.worker_slot.store(WorkerPool<JobPtr>::kNoSlot,
-                        std::memory_order_release);
-  unregister_watch(job);
 }
 
-void SimService::run_multi(Job& job, Reply& reply) {
-  MultiCoreParams params;
-  params.arbiter = job.arbiter;
-  params.machine = job.machine;
-  MultiCoreSim sim(job.cores, params);
+template <typename Sim, typename ShapeResult>
+Reply SimService::run_windowed(Job& job, Sim& sim, std::string_view goal,
+                               ShapeResult shape_result) {
+  // Deadline via the cycle budget, cancellation at window granularity:
+  // run() is resumable (its argument is an absolute cycle target), so the
+  // worker advances one window at a time and polls the stop flags between
+  // windows. Jobs with sampling configured use their own period so
+  // cancellation never lands mid-window.
   const std::uint64_t window = job.machine.sample.enabled()
                                    ? job.machine.sample.period
                                    : config_.cancel_check_cycles;
   RunOutcome outcome = RunOutcome::kMaxCycles;
-  bool cancelled = false;
-  bool wall_expired = false;
   while (true) {
-    const std::uint64_t target = std::min(job.budget, sim.cycles() + window);
-    outcome = sim.run(target);
+    outcome = sim.run(std::min(job.budget, sim.cycles() + window));
     if (outcome != RunOutcome::kMaxCycles || sim.cycles() >= job.budget) {
       break;
     }
     if (stop_now_.load(std::memory_order_relaxed)) {
-      cancelled = true;
-      break;
+      cancelled_.fetch_add(1, std::memory_order_relaxed);
+      return Reply::error(job.request.id, error_code::kCancelled,
+                          "cancelled at cycle " +
+                              std::to_string(sim.cycles()));
     }
     if (job.cancel.load(std::memory_order_relaxed)) {
-      wall_expired = true;
-      break;
+      // Counted by the watchdog when it set job.cancel.
+      return Reply::error(job.request.id, error_code::kWallDeadline,
+                          "wall deadline " + std::to_string(job.wall_ms) +
+                              " ms exceeded at cycle " +
+                              std::to_string(sim.cycles()) + "; resubmit",
+                          /*retriable=*/true);
     }
   }
-  if (cancelled) {
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
-    reply = Reply::error(job.request.id, error_code::kCancelled,
-                         "cancelled at cycle " +
-                             std::to_string(sim.cycles()));
-  } else if (wall_expired) {
-    reply = Reply::error(job.request.id, error_code::kWallDeadline,
-                         "wall deadline " + std::to_string(job.wall_ms) +
-                             " ms exceeded at cycle " +
-                             std::to_string(sim.cycles()) + "; resubmit",
-                         /*retriable=*/true);
-  } else if (outcome == RunOutcome::kMaxCycles) {
+  if (outcome == RunOutcome::kMaxCycles) {
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-    reply = Reply::error(job.request.id, error_code::kDeadline,
-                         "cycle budget " + std::to_string(job.budget) +
-                             " exhausted before every core halted");
-  } else if (outcome == RunOutcome::kStalled ||
-             outcome == RunOutcome::kFault) {
-    sim_faults_.fetch_add(1, std::memory_order_relaxed);
-    std::string message = "multi-core simulation did not halt";
-    for (unsigned k = 0; k < sim.num_cores(); ++k) {
-      const RunOutcome core_outcome = sim.core_outcome(k);
-      if (core_outcome == RunOutcome::kFault ||
-          core_outcome == RunOutcome::kStalled) {
-        const std::string& fault = sim.core(k).fault_message();
-        message = "core" + std::to_string(k) + ": " +
-                  (fault.empty() ? std::string(outcome_name(core_outcome))
-                                 : fault);
-        break;
-      }
-    }
-    reply = Reply::error(job.request.id, error_code::kSimFault, message);
-  } else {
-    const MultiCoreResult result = sim.collect();
-    reply.type = ReplyType::kResult;
-    reply.cache = "miss";
-    reply.digest = job.digest_hex;
-    reply.policy = "multi:" + std::string(arbiter_name(job.arbiter));
-    reply.outcome = std::string(outcome_name(outcome));
-    reply.cycles = result.cycles;
-    reply.retired = result.fabric.total_retired;
-    reply.metrics_json =
-        canonical_metrics_json(collect_multicore_metrics(result));
-    cache_.insert(job.key, reply);
-    completed_.fetch_add(1, std::memory_order_relaxed);
+    return Reply::error(job.request.id, error_code::kDeadline,
+                        "cycle budget " + std::to_string(job.budget) +
+                            " exhausted before " + std::string(goal));
   }
+  if (outcome != RunOutcome::kHalted) {
+    sim_faults_.fetch_add(1, std::memory_order_relaxed);
+    return Reply::error(job.request.id, error_code::kSimFault,
+                        sim.fault_message());
+  }
+  Reply reply;
+  reply.id = job.request.id;
+  reply.type = ReplyType::kResult;
+  reply.cache = "miss";
+  reply.digest = job.digest_hex;
+  reply.outcome = std::string(outcome_name(outcome));
+  reply.cycles = sim.cycles();
+  shape_result(reply);
+  cache_.insert(job.key, reply);
+  completed_.fetch_add(1, std::memory_order_relaxed);
+  return reply;
 }
 
 bool SimService::deliver(Job& job, Reply reply) {

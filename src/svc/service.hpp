@@ -22,8 +22,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <variant>
 
 #include "common/stats.hpp"
 #include "obs/metrics.hpp"
@@ -127,6 +130,19 @@ struct ServiceStats {
   }
 };
 
+/// One MachineConfig knob a submit may set through its `config` map.
+/// Anything else (fault injection, tracing, recovery...) stays a
+/// server-side decision.
+struct ConfigKnob {
+  std::string_view name;
+  std::variant<unsigned MachineConfig::*, bool MachineConfig::*> field;
+};
+
+/// The whole protocol knob surface, in cache-key order: parsing, range
+/// checks and the digested config key all walk this one table. Unsigned
+/// knobs take integral values in [0, 1e9]; bool knobs take 0 or 1.
+std::span<const ConfigKnob> config_knobs();
+
 /// Canonical (sorted-key, round-trip-number) JSON rendering of a metric
 /// registry: the byte-stable form embedded in result and stats replies.
 std::string canonical_metrics_json(const MetricRegistry& registry);
@@ -174,11 +190,20 @@ class SimService {
   using JobPtr = std::shared_ptr<Job>;
 
   Reply handle_submit(const Request& request);
+  /// Worker entry point: executes the job unless the watchdog already
+  /// answered it, then releases its worker slot and watch entry.
   void run_job(Job& job);
-  /// Multi-core (`multi` job kind) body of run_job: drives a lockstep
-  /// MultiCoreSim under the same budget/cancellation windows and shapes
-  /// `reply` (result or typed error).
-  void run_multi(Job& job, Reply& reply);
+  /// Builds the job's simulator (one Processor, or a MultiCoreSim for the
+  /// `multi` kind), runs it and delivers the reply.
+  void execute(Job& job);
+  /// The one windowed run loop behind every job kind: advances `sim`
+  /// (anything with run(target), cycles() and fault_message()) under the
+  /// job's cycle budget, polling cancellation between windows, and maps
+  /// the outcome to a reply. `shape_result` fills the kind-specific
+  /// fields of a result reply (policy label, retired, metrics).
+  template <typename Sim, typename ShapeResult>
+  Reply run_windowed(Job& job, Sim& sim, std::string_view goal,
+                     ShapeResult shape_result);
   /// Deliver-once latch: sets the job's promise if nobody has yet.
   /// Returns true when this call won the race (worker vs watchdog vs
   /// crash handler).

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "config/loader.hpp"
+#include "isa/assembler.hpp"
 #include "multicore/multicore.hpp"
 #include "sim/metrics.hpp"
 #include "workload/kernels.hpp"
@@ -189,6 +190,27 @@ TEST(MultiCore, SingleCoreIsBitIdenticalToSimulate) {
         << "arbiter " << arbiter_name(arbiter);
     EXPECT_EQ(result.fabric.total_retired, reference.stats.retired);
   }
+}
+
+TEST(MultiCore, SingleCoreStallMatchesProcessorRun) {
+  // No FP-MDU anywhere: the fmul can never issue. Both drivers share the
+  // Processor's stall detector, so they agree on outcome, cycle and
+  // digest.
+  MachineConfig cfg;
+  cfg.steering.ffu[fu_index(FuType::kFpMdu)] = 0;
+  const Program p = assemble("  fmul f1, f2, f3\n  halt\n");
+  const PolicySpec policy{.kind = PolicyKind::kStaticFfu};
+  auto cpu = make_processor(p, cfg, policy);
+  const RunOutcome reference = cpu->run(300'000);
+  ASSERT_EQ(reference, RunOutcome::kStalled);
+
+  MultiCoreParams params;
+  params.machine = cfg;
+  MultiCoreSim sim({CoreSpec{p, policy}}, params);
+  EXPECT_EQ(sim.run(300'000), reference);
+  EXPECT_EQ(sim.cycles(), cpu->cycles());
+  EXPECT_EQ(sim.core(0).fault_message(), cpu->fault_message());
+  EXPECT_EQ(sim.fault_message(), "core0: " + cpu->fault_message());
 }
 
 TEST(MultiCore, ContendedRunIsDeterministic) {

@@ -3,6 +3,7 @@
 // (registers, data memory, retired-instruction count).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/reference.hpp"
@@ -434,6 +435,27 @@ TEST(StallDetection, StallProducesMachineStateDigest) {
   EXPECT_NE(digest.find("ruu"), std::string::npos) << digest;
   EXPECT_NE(digest.find("queue"), std::string::npos) << digest;
   EXPECT_NE(digest.find("alloc"), std::string::npos) << digest;
+}
+
+TEST(StallDetection, WindowedRunStallsWhereAOneShotRunDoes) {
+  // The service drives run() in 4096-cycle windows; the stall window must
+  // survive those calls, so the split run stalls at the same cycle with
+  // the same digest instead of running out its budget silently.
+  MachineConfig cfg;
+  cfg.steering.ffu[fu_index(FuType::kFpMdu)] = 0;
+  const Program p = assemble("  fmul f1, f2, f3\n  halt\n");
+  auto one_shot = make_processor(p, cfg, {.kind = PolicyKind::kStaticFfu});
+  ASSERT_EQ(one_shot->run(300'000), RunOutcome::kStalled);
+
+  auto windowed = make_processor(p, cfg, {.kind = PolicyKind::kStaticFfu});
+  RunOutcome outcome = RunOutcome::kMaxCycles;
+  while (outcome == RunOutcome::kMaxCycles && windowed->cycles() < 300'000) {
+    outcome = windowed->run(std::min<std::uint64_t>(
+        300'000, windowed->cycles() + 4096));
+  }
+  EXPECT_EQ(outcome, RunOutcome::kStalled);
+  EXPECT_EQ(windowed->cycles(), one_shot->cycles());
+  EXPECT_EQ(windowed->fault_message(), one_shot->fault_message());
 }
 
 }  // namespace

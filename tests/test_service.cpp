@@ -9,12 +9,15 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "sim/json.hpp"
@@ -632,6 +635,41 @@ TEST(SimService, BadRequestsAreTypedAndNotRetriable) {
   EXPECT_EQ(service.stats().bad_requests, 5u);
 }
 
+TEST(SimService, EveryTableKnobIsDigestedAndRangeChecked) {
+  // Walks the knob table over the wire format: a legal non-default value
+  // of any knob must change the digest (a knob missing from the key would
+  // let the cache serve another machine's result), and out-of-range
+  // values are bad requests.
+  SimService service({.workers = 2, .queue_capacity = 8});
+  const Reply base = service.handle(parsed_request(submit_kernel("fib")));
+  ASSERT_EQ(base.type, ReplyType::kResult) << base.message;
+  const MachineConfig defaults;
+  for (const ConfigKnob& knob : config_knobs()) {
+    const std::string name(knob.name);
+    const bool is_bool =
+        std::holds_alternative<bool MachineConfig::*>(knob.field);
+    const double value = std::visit(
+        [&](auto member) { return static_cast<double>(defaults.*member); },
+        knob.field);
+    const double changed =
+        is_bool ? 1.0 - value : (value == 0.0 ? 1.0 : std::floor(value / 2));
+    Request tuned = submit_kernel("fib");
+    tuned.config = {{name, changed}};
+    const Reply reply = service.handle(parsed_request(tuned));
+    ASSERT_EQ(reply.type, ReplyType::kResult) << name << ": " << reply.message;
+    EXPECT_NE(reply.digest, base.digest) << name;
+
+    for (const double bad : is_bool ? std::vector<double>{2.0}
+                                    : std::vector<double>{-1.0, 1.5}) {
+      Request out_of_range = submit_kernel("fib");
+      out_of_range.config = {{name, bad}};
+      const Reply rejected = service.handle(parsed_request(out_of_range));
+      EXPECT_EQ(rejected.code, error_code::kBadRequest) << name << "=" << bad;
+      EXPECT_FALSE(rejected.retriable);
+    }
+  }
+}
+
 TEST(SimService, OverBudgetJobIsRejectedWithDeadline) {
   SimService service({.workers = 1, .queue_capacity = 4});
   Request request;
@@ -747,6 +785,35 @@ TEST(SimService, JobDigestIsStableAndInputSensitive) {
   EXPECT_EQ(a, SimService::job_digest("halt\n", "fetch_width=4;"));
   EXPECT_NE(a, SimService::job_digest("halt\n", "fetch_width=8;"));
   EXPECT_NE(a, SimService::job_digest("nop\nhalt\n", "fetch_width=4;"));
+}
+
+// Cache-key goldens: kernel, asm, elf and multi submits must keep these
+// exact digests. A changed digest orphans every cached result; a digest
+// that stops covering an input aliases distinct jobs onto one entry.
+TEST(SimService, DigestsMatchGoldenValues) {
+  SimService service({.workers = 2, .queue_capacity = 8});
+  Request tuned = submit_kernel("saxpy");
+  tuned.policy = "oracle";
+  tuned.config = {{"fetch_width", 8.0}, {"use_dcache", 1.0}};
+  Request assembly;
+  assembly.type = RequestType::kSubmit;
+  assembly.asm_source = "  addi r1, r0, 3\n  mul r2, r1, r1\n  halt\n";
+  const std::pair<Request, std::string> golden[] = {
+      {submit_kernel("fib"), "6de84f50c6a075fd"},
+      {tuned, "103d912d9d0434b7"},
+      {assembly, "d7819ec12b7acb3a"},
+      {submit_elf("rv32_int"), "594a17742db5f29d"},
+      {submit_multi({kernel_entry("dot_int"), kernel_entry("saxpy", "greedy")}),
+       "a96ac207685190b9"},
+      {submit_multi({elf_entry("rv32_fp"), kernel_entry("fib", "static-ffu")},
+                    "prop-share"),
+       "408cf11ab1d43c16"},
+  };
+  for (const auto& [request, digest] : golden) {
+    const Reply reply = service.handle(request);
+    ASSERT_EQ(reply.type, ReplyType::kResult) << reply.message;
+    EXPECT_EQ(reply.digest, digest) << request.to_json();
+  }
 }
 
 // ---------------------------------------------------------------------------
