@@ -149,75 +149,6 @@ void SteeredPolicy::steer(const SteerContext& ctx,
   }
 }
 
-std::uint64_t SteeredPolicy::idle_advance(std::uint64_t max_cycles,
-                                          const SteerContext& ctx,
-                                          ConfigurationLoader& loader) {
-  if (max_cycles == 0) {
-    return 0;
-  }
-  // Latch ready-set changes exactly as a live steer() at the window's
-  // first cycle would (the caller clears its dirty flag after a skip).
-  ready_dirty_ = ready_dirty_ || ctx.ready_changed;
-  if (audit_ != nullptr) {
-    // The audit log wants a live record for every decision: advance only
-    // through the decision-free countdown prefix and stop right before
-    // the next decision cycle (degenerates to no skip at interval 1).
-    const std::uint64_t skipped =
-        std::min<std::uint64_t>(countdown_, max_cycles);
-    countdown_ -= static_cast<unsigned>(skipped);
-    return skipped;
-  }
-  // Countdown cycles are pure decrements.
-  if (countdown_ >= max_cycles) {
-    countdown_ -= static_cast<unsigned>(max_cycles);
-    return max_cycles;
-  }
-  // A decision falls inside the window. Evaluate it: the caller guarantees
-  // every input (ready set, unit totals, allocation) is constant across
-  // the window, so all decisions in it are identical.
-  const std::array<unsigned, kNumCandidates>& cost = candidate_costs(loader);
-  const FuCounts required = merged_requirements(ctx);
-  const SelectionTrace& trace =
-      cached_selection(required, ctx.current_total, cost);
-  if (trace.selection != 0 || loader.requested() != loader.allocation()) {
-    // The decision would (or could, via the freeze-to-current request)
-    // retarget the loader: stop right before the decision cycle.
-    const std::uint64_t skipped = countdown_;
-    countdown_ = 0;
-    return skipped;
-  }
-  // Every decision in the window selects the current configuration and
-  // its freeze request is a no-op. Emulate d back-to-back decisions.
-  const std::uint64_t k = max_cycles;
-  const std::uint64_t first = countdown_;  // cycles before the 1st decision
-  const std::uint64_t d = 1 + (k - first - 1) / interval_;
-  countdown_ =
-      static_cast<unsigned>(interval_ - 1 - ((k - first - 1) % interval_));
-  stats_.steer_events += d;
-  stats_.selections[0] += d;
-  if (tracer_ != nullptr &&
-      tracer_->wants_span(trace_cat::kSteer, ctx.cycle + first, k - first)) {
-    // Replay the per-decision trace instants the live loop would have
-    // emitted, at the exact decision cycles with the exact streak values,
-    // so a traced skipped run parses identically to a stepped one.
-    const unsigned streak_base =
-        pending_selection_ == 0 ? pending_streak_ : 0;
-    const std::string_view intent = audit_intent_name(AuditIntent::kHold);
-    for (std::uint64_t i = 0; i < d; ++i) {
-      tracer_->instant_steer(ctx.cycle + first + i * interval_, 0,
-                             trace.errors[0], trace.costs[0],
-                             streak_base + i + 1, intent);
-    }
-  }
-  if (pending_selection_ == 0) {
-    pending_streak_ += static_cast<unsigned>(d);
-  } else {
-    pending_selection_ = 0;
-    pending_streak_ = static_cast<unsigned>(d);
-  }
-  return k;
-}
-
 GreedyPolicy::GreedyPolicy(const SteeringSet& set, unsigned interval,
                            double smoothing)
     : set_(set), interval_(interval), smoothing_(smoothing) {
@@ -256,31 +187,6 @@ void GreedyPolicy::steer(const SteerContext& ctx,
   if (packed.counts() != loader.target().counts()) {
     loader.request(packed);
   }
-}
-
-std::uint64_t GreedyPolicy::idle_advance(std::uint64_t max_cycles,
-                                         const SteerContext& ctx,
-                                         ConfigurationLoader& loader) {
-  (void)loader;
-  if (!have_sample_ || ctx.ready_changed) {
-    sample_cache_ = encode_requirements(ctx.ready_ops);
-    have_sample_ = true;
-  }
-  if (countdown_ == 0) {
-    return 0;  // a repack decision is due this cycle: run it live
-  }
-  // Countdown cycles only fold the (constant) sample into the EWMA. Iterate
-  // rather than closing the form so the floating-point rounding sequence is
-  // bit-identical to k live steer() calls.
-  const std::uint64_t k = std::min<std::uint64_t>(max_cycles, countdown_);
-  for (std::uint64_t i = 0; i < k; ++i) {
-    for (unsigned t = 0; t < kNumFuTypes; ++t) {
-      smoothed_[t] = (1.0 - smoothing_) * smoothed_[t] +
-                     smoothing_ * static_cast<double>(sample_cache_[t]);
-    }
-  }
-  countdown_ -= static_cast<unsigned>(k);
-  return k;
 }
 
 OraclePolicy::OraclePolicy(const SteeringSet& set) : set_(set) {}
@@ -334,23 +240,6 @@ void OraclePolicy::steer(const SteerContext& ctx,
   loader.request(packed_cache_);
 }
 
-std::uint64_t OraclePolicy::idle_advance(std::uint64_t max_cycles,
-                                         const SteerContext& ctx,
-                                         ConfigurationLoader& loader) {
-  if (!have_packed_ || ctx.ready_changed) {
-    required_cache_ = encode_requirements(ctx.ready_ops);
-    packed_cache_ = pack(required_cache_, set_.ffu, set_.num_slots);
-    have_packed_ = true;
-  }
-  if (loader.requested() != packed_cache_) {
-    return 0;  // the next steer() would retarget: run it live
-  }
-  // Every steer() in the window re-requests the already-requested target,
-  // which ConfigurationLoader::request() ignores.
-  stats_.steer_events += max_cycles;
-  return max_cycles;
-}
-
 RandomPolicy::RandomPolicy(const SteeringSet& set, std::uint64_t seed,
                            unsigned interval)
     : preset_allocs_{set.preset_allocation(0), set.preset_allocation(1),
@@ -372,17 +261,6 @@ void RandomPolicy::steer(const SteerContext&, ConfigurationLoader& loader) {
   if (pick != 0) {
     loader.request(preset_allocs_[pick - 1]);
   }
-}
-
-std::uint64_t RandomPolicy::idle_advance(std::uint64_t max_cycles,
-                                         const SteerContext&,
-                                         ConfigurationLoader&) {
-  if (countdown_ == 0) {
-    return 0;  // the decision draws from the RNG: run it live
-  }
-  const std::uint64_t k = std::min<std::uint64_t>(max_cycles, countdown_);
-  countdown_ -= static_cast<unsigned>(k);
-  return k;
 }
 
 }  // namespace steersim

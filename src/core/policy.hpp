@@ -60,28 +60,10 @@ class SteeringPolicy {
   virtual ~SteeringPolicy() = default;
 
   /// Called once per cycle before the loader steps; may call
-  /// loader.request() to retarget the fabric.
+  /// loader.request() to retarget the fabric. Reads only `ctx`, the loader
+  /// and the policy's own state: that contract is what lets skip-ahead
+  /// call it cycle by cycle inside a proven-idle window.
   virtual void steer(const SteerContext& ctx, ConfigurationLoader& loader) = 0;
-
-  /// Event-driven skip-ahead hook: the processor has proven that the next
-  /// `max_cycles` cycles are externally idle (nothing wakes, issues,
-  /// completes, retires, dispatches, or fetches, and the loader is
-  /// quiescent), and asks the policy to emulate up to that many
-  /// back-to-back steer(ctx) calls with an unchanged ctx at once. Returns
-  /// how many cycles were emulated — the policy's observable state (stats,
-  /// countdowns, hysteresis, RNG, loader requests) must end exactly as if
-  /// steer() had run that many times. Return 0 to decline (the processor
-  /// falls back to stepping cycle by cycle); a policy whose next decision
-  /// would retarget the loader must stop short of it. The default declines
-  /// always, which is correct for any policy.
-  virtual std::uint64_t idle_advance(std::uint64_t max_cycles,
-                                     const SteerContext& ctx,
-                                     ConfigurationLoader& loader) {
-    (void)max_cycles;
-    (void)ctx;
-    (void)loader;
-    return 0;
-  }
 
   virtual std::string_view name() const = 0;
   const PolicyStats& stats() const { return stats_; }
@@ -113,9 +95,6 @@ class SteeredPolicy final : public SteeringPolicy {
                 bool lookahead = false);
 
   void steer(const SteerContext& ctx, ConfigurationLoader& loader) override;
-  std::uint64_t idle_advance(std::uint64_t max_cycles,
-                             const SteerContext& ctx,
-                             ConfigurationLoader& loader) override;
   std::string_view name() const override { return name_; }
   const ConfigSelectionUnit& selection_unit() const { return unit_; }
 
@@ -176,9 +155,6 @@ class GreedyPolicy final : public SteeringPolicy {
                         double smoothing = 0.125);
 
   void steer(const SteerContext& ctx, ConfigurationLoader& loader) override;
-  std::uint64_t idle_advance(std::uint64_t max_cycles,
-                             const SteerContext& ctx,
-                             ConfigurationLoader& loader) override;
   std::string_view name() const override { return "greedy"; }
 
  private:
@@ -199,10 +175,6 @@ class StaticPolicy final : public SteeringPolicy {
  public:
   explicit StaticPolicy(std::string name) : name_(std::move(name)) {}
   void steer(const SteerContext&, ConfigurationLoader&) override {}
-  std::uint64_t idle_advance(std::uint64_t max_cycles, const SteerContext&,
-                             ConfigurationLoader&) override {
-    return max_cycles;  // steer() is a no-op, so any window skips freely
-  }
   std::string_view name() const override { return name_; }
 
  private:
@@ -215,9 +187,6 @@ class OraclePolicy final : public SteeringPolicy {
  public:
   explicit OraclePolicy(const SteeringSet& set);
   void steer(const SteerContext& ctx, ConfigurationLoader& loader) override;
-  std::uint64_t idle_advance(std::uint64_t max_cycles,
-                             const SteerContext& ctx,
-                             ConfigurationLoader& loader) override;
   std::string_view name() const override { return "oracle"; }
 
   /// Greedy fabric packing for a requirement vector: repeatedly gives a
@@ -240,10 +209,6 @@ class RandomPolicy final : public SteeringPolicy {
   RandomPolicy(const SteeringSet& set, std::uint64_t seed,
                unsigned interval = 16);
   void steer(const SteerContext& ctx, ConfigurationLoader& loader) override;
-  /// Skips only the countdown cycles between decisions; decisions draw
-  /// from the RNG, so they always run live.
-  std::uint64_t idle_advance(std::uint64_t max_cycles, const SteerContext&,
-                             ConfigurationLoader&) override;
   std::string_view name() const override { return "random"; }
 
  private:

@@ -127,10 +127,10 @@ Processor::Processor(const Program& program, const MachineConfig& config,
                                                        tracer_.get())
                    : nullptr) {
   STEERSIM_EXPECTS(policy_ != nullptr);
-  // Tracer/audit/sampler no longer veto skip-ahead: a proven-quiescent
-  // window produces no per-cycle pipeline events, the policies replay (or
-  // decline) their decision records bit-exactly (idle_advance), and
-  // try_skip stops at sampler window boundaries so sampling is unchanged.
+  // Tracer/audit/sampler do not veto skip-ahead: a proven-quiescent window
+  // produces no per-cycle pipeline events, try_skip runs the policy's own
+  // steer() for every skipped cycle, and it stops at sampler window
+  // boundaries so sampling is unchanged.
   skip_eligible_ = recovery_ == nullptr && !config_.fault.enabled() &&
                    !config_.pipelined_units;
   mem_.load_image(program_.data);
@@ -542,17 +542,19 @@ FuCounts Processor::ready_requirements() {
       {ready_ops_cache_.begin(), ready_ops_cache_.end()});
 }
 
-void Processor::stage_steer() {
+SteerContext Processor::steer_context() {
   // The configuration manager inspects the queue entries that are ready to
   // be executed (valid, not yet scheduled), oldest first. The list (and
   // downstream requirement encodings, via ctx.ready_changed) is rebuilt
-  // only when the wake-up array's ready set actually changed.
+  // only when the wake-up array's ready set actually changed; the policy
+  // consumes the change, so the latch clears here.
   refresh_ready_ops();
   SteerContext ctx;
   ctx.ready_ops = {ready_ops_cache_.begin(), ready_ops_cache_.end()};
   ctx.current_total = engine_.configured_units();
   ctx.cycle = stats_.cycles;
   ctx.ready_changed = ready_dirty_;
+  ready_dirty_ = false;
   // Lookahead probe: the pre-decoded requirements of the trace line the
   // fetch unit is about to stream, if it will hit.
   if (trace_cache_ != nullptr) {
@@ -560,8 +562,11 @@ void Processor::stage_steer() {
       ctx.lookahead = &line->requirements;
     }
   }
-  policy_->steer(ctx, loader_);
-  ready_dirty_ = false;
+  return ctx;
+}
+
+void Processor::stage_steer() {
+  policy_->steer(steer_context(), loader_);
   loader_.step(engine_.slot_busy());
 }
 
@@ -619,36 +624,34 @@ std::uint64_t Processor::try_skip(std::uint64_t budget) {
   if (k == 0) {
     return 0;
   }
-  // Ask the policy to emulate up to k back-to-back steer() calls.
-  refresh_ready_ops();
-  SteerContext ctx;
-  ctx.ready_ops = {ready_ops_cache_.begin(), ready_ops_cache_.end()};
-  ctx.current_total = engine_.configured_units();
-  ctx.cycle = stats_.cycles;
-  ctx.ready_changed = ready_dirty_;
-  if (trace_cache_ != nullptr) {
-    if (const TraceLine* line = trace_cache_->peek(fetch_.pc())) {
-      ctx.lookahead = &line->requirements;
+  // Cross the window with the live policy: one steer() per cycle, with
+  // only the cycle and the ready-set latch moving between calls. A decision
+  // that leaves the loader work runs that cycle's real loader step and
+  // closes the window; slot_busy is constant because nothing completes.
+  SteerContext ctx = steer_context();
+  std::uint64_t advanced = 0;
+  while (advanced < k) {
+    policy_->steer(ctx, loader_);
+    ++advanced;
+    if (!loader_.quiescent()) {
+      loader_.step(engine_.slot_busy());
+      break;
     }
+    loader_.fast_forward(1);
+    ++ctx.cycle;
+    ctx.ready_changed = false;
   }
-  const std::uint64_t advanced = policy_->idle_advance(k, ctx, loader_);
-  if (advanced == 0) {
-    return 0;
-  }
-  ready_dirty_ = false;
   // Replay the per-cycle bookkeeping the skipped cycles would have done.
   stats_.resource_starved += advanced * dep_ready.count();
   engine_.fast_forward(advanced);
-  loader_.fast_forward(advanced);
   wakeup_.advance(advanced);
   stats_.queue_occupancy_sum +=
       advanced * (wakeup_.num_entries() - wakeup_.free_entries());
   stats_.cycles += advanced;
   if (tracer_ != nullptr) {
     // One synthetic span covering the whole window on a dedicated lane;
-    // the per-decision steer events inside it were already replayed by
-    // idle_advance, and no other per-cycle event can occur while the
-    // machine is provably idle.
+    // steer() already emitted its own events inside it, and no other
+    // per-cycle event can occur while the machine is provably idle.
     tracer_->skip_span(stats_.cycles - advanced, advanced);
   }
   maybe_sample();

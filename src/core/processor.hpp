@@ -255,11 +255,16 @@ class Processor {
   /// Rebuilds `ready_ops_cache_` iff the wake-up array's ready set changed
   /// since the last rebuild (keyed on WakeupArray::ready_version()).
   void refresh_ready_ops();
+  /// The policy's view of this cycle (ready ops, configured units,
+  /// lookahead); consumes the ready-set change latch.
+  SteerContext steer_context();
   /// Event-driven skip-ahead (run() fast path; step() stays one cycle):
   /// when the machine is provably idle — front end stalled, nothing can
   /// retire, issue, or complete, loader quiescent — advances up to
-  /// `budget` cycles in one shot with bit-identical statistics. Returns
-  /// the cycles advanced; 0 means "step live".
+  /// `budget` cycles in one shot with bit-identical statistics, calling
+  /// the policy's steer() once per skipped cycle. A decision that gives
+  /// the loader work ends the window after its cycle. Returns the cycles
+  /// advanced; 0 means "step live".
   std::uint64_t try_skip(std::uint64_t budget);
 
   /// PC of the oldest un-retired instruction: the point a checkpoint
@@ -323,9 +328,8 @@ class Processor {
   FixedVector<Opcode, kMaxWakeupEntries> ready_ops_cache_;
   std::uint64_t steer_ready_version_ = ~std::uint64_t{0};
   bool ready_dirty_ = true;
-  /// Skip-ahead is structurally allowed: no observers (tracer, audit,
-  /// sampler), no recovery, no fault injection, no pipelined units. Fixed
-  /// at construction.
+  /// Skip-ahead is structurally allowed: no recovery, no fault injection,
+  /// no pipelined units. Fixed at construction.
   bool skip_eligible_ = false;
 
   SimStats stats_;

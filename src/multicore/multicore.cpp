@@ -49,8 +49,6 @@ void MultiCoreSim::finish_core(unsigned k, RunOutcome outcome) {
   --live_;
 }
 
-bool MultiCoreSim::done() const { return live_ == 0; }
-
 RunOutcome MultiCoreSim::run(std::uint64_t max_cycles) {
   const std::span<Processor* const> cores(core_ptrs_);
   while (live_ > 0 && cycle_ < max_cycles) {

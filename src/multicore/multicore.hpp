@@ -57,7 +57,6 @@ class MultiCoreSim {
   /// terminal outcome (fault > stall > halt).
   RunOutcome run(std::uint64_t max_cycles);
 
-  bool done() const;
   std::uint64_t cycles() const { return cycle_; }
   unsigned num_cores() const {
     return static_cast<unsigned>(cores_.size());

@@ -12,7 +12,8 @@ std::string PolicySpec::label(const SteeringSet& set) const {
         name += "-exact";
       }
       if (interval != 1) {
-        name += "@" + std::to_string(interval);
+        name += '@';
+        name += std::to_string(interval);
       }
       if (confirm != 1) {
         name += "-confirm" + std::to_string(confirm);

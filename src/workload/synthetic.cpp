@@ -85,10 +85,14 @@ class BodyEmitter {
 
  private:
   std::string int_reg(unsigned idx) const {
-    return "r" + std::to_string(kIntPoolBase + idx);
+    std::string name(1, 'r');
+    name += std::to_string(kIntPoolBase + idx);
+    return name;
   }
   std::string fp_reg(unsigned idx) const {
-    return "f" + std::to_string(kFpPoolBase + idx);
+    std::string name(1, 'f');
+    name += std::to_string(kFpPoolBase + idx);
+    return name;
   }
 
   unsigned pick_int_src() {

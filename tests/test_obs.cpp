@@ -399,48 +399,66 @@ TEST(Sampler, ConservationHoldsAcrossSkippedWindows) {
   }
 }
 
-/// Seeded skip-cosim episodes, wakeup-cosim style: across several seeded
-/// workloads, the skip-engaged run() and a live step() loop must agree on
-/// statistics, rendered events, and sampled windows.
+/// Seeded skip-cosim episodes, wakeup-cosim style: for every policy, with
+/// the tracer, sampler and audit log all attached, the skip-engaged run()
+/// and a live step() loop must agree on statistics, rendered events,
+/// sampled windows and audit rows — and run() must actually skip.
 TEST(SkipCosim, SeededEpisodesMatchLiveStepping) {
-  for (const std::uint64_t seed : {3u, 17u, 91u}) {
-    const std::string tag = std::to_string(seed);
-    const FileGuard batched_file("test_skip_cosim_b" + tag + ".json");
-    const FileGuard live_file("test_skip_cosim_l" + tag + ".json");
-    const FileGuard batched_csv("test_skip_cosim_b" + tag + ".csv");
-    const FileGuard live_csv("test_skip_cosim_l" + tag + ".csv");
-    const Program program =
-        generate_synthetic(alternating_phases(256, 2, seed));
+  std::vector<PolicySpec> policies = standard_policies();
+  policies.push_back({.kind = PolicyKind::kRandom});
+  policies.push_back({.kind = PolicyKind::kGreedy});
+  policies.push_back({.kind = PolicyKind::kSteered, .interval = 4});
+  policies.push_back({.kind = PolicyKind::kSteered, .confirm = 3});
+  policies.push_back({.kind = PolicyKind::kSteered, .lookahead = true});
+  for (const PolicySpec& spec : policies) {
+    for (const std::uint64_t seed : {3u, 17u, 91u}) {
+      const std::string tag = std::to_string(seed);
+      const std::string where =
+          spec.label(default_steering_set()) + " seed " + tag;
+      const FileGuard batched_file("test_skip_cosim_b" + tag + ".json");
+      const FileGuard live_file("test_skip_cosim_l" + tag + ".json");
+      const FileGuard batched_csv("test_skip_cosim_b" + tag + ".csv");
+      const FileGuard live_csv("test_skip_cosim_l" + tag + ".csv");
+      const FileGuard batched_audit("test_skip_cosim_ab" + tag + ".csv");
+      const FileGuard live_audit("test_skip_cosim_al" + tag + ".csv");
+      const Program program =
+          generate_synthetic(alternating_phases(256, 2, seed));
 
-    MachineConfig batched_cfg;
-    batched_cfg.trace.enabled = true;
-    batched_cfg.trace.path = batched_file.path;
-    batched_cfg.sample.period = 61;
-    batched_cfg.sample.csv_path = batched_csv.path;
-    const SimResult batched = simulate(
-        program, batched_cfg, {.kind = PolicyKind::kSteered}, 100'000);
-    ASSERT_EQ(batched.outcome, RunOutcome::kHalted) << "seed " << seed;
+      MachineConfig batched_cfg;
+      batched_cfg.trace.enabled = true;
+      batched_cfg.trace.path = batched_file.path;
+      batched_cfg.sample.period = 61;
+      batched_cfg.sample.csv_path = batched_csv.path;
+      batched_cfg.audit.enabled = true;
+      batched_cfg.audit.csv_path = batched_audit.path;
+      const SimResult batched =
+          simulate(program, batched_cfg, spec, 100'000);
+      ASSERT_EQ(batched.outcome, RunOutcome::kHalted) << where;
 
-    MachineConfig live_cfg = batched_cfg;
-    live_cfg.trace.path = live_file.path;
-    live_cfg.sample.csv_path = live_csv.path;
-    {
-      auto cpu = make_processor(program, live_cfg,
-                                {.kind = PolicyKind::kSteered});
-      for (std::uint64_t c = 0; c < 100'000 && !cpu->halted(); ++c) {
-        cpu->step();
-      }
-      ASSERT_TRUE(cpu->halted()) << "seed " << seed;
-      cpu->flush_sampler();
-      EXPECT_EQ(batched.stats.cycles, cpu->stats().cycles) << "seed " << seed;
-      EXPECT_EQ(batched.stats.retired, cpu->stats().retired)
-          << "seed " << seed;
+      MachineConfig live_cfg = batched_cfg;
+      live_cfg.trace.path = live_file.path;
+      live_cfg.sample.csv_path = live_csv.path;
+      live_cfg.audit.csv_path = live_audit.path;
+      {
+        auto cpu = make_processor(program, live_cfg, spec);
+        for (std::uint64_t c = 0; c < 100'000 && !cpu->halted(); ++c) {
+          cpu->step();
+        }
+        ASSERT_TRUE(cpu->halted()) << where;
+        cpu->flush_sampler();
+        EXPECT_EQ(metrics_csv(batched),
+                  metrics_csv(collect_result(*cpu, spec, RunOutcome::kHalted)))
+            << where;
+      }  // processor destruction finalizes the trace and audit files
+      const std::string batched_text = slurp(batched_file.path);
+      EXPECT_GT(count_skip_spans(batched_text), 0u)
+          << where << ": run() never engaged skip-ahead";
+      EXPECT_EQ(comparable_event_lines(batched_text),
+                comparable_event_lines(slurp(live_file.path)))
+          << where;
+      EXPECT_EQ(slurp(batched_csv.path), slurp(live_csv.path)) << where;
+      EXPECT_EQ(slurp(batched_audit.path), slurp(live_audit.path)) << where;
     }
-    EXPECT_EQ(comparable_event_lines(slurp(batched_file.path)),
-              comparable_event_lines(slurp(live_file.path)))
-        << "seed " << seed;
-    EXPECT_EQ(slurp(batched_csv.path), slurp(live_csv.path))
-        << "seed " << seed;
   }
 }
 
