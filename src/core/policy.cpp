@@ -15,21 +15,6 @@ SteeredPolicy::SteeredPolicy(const SteeringSet& set, CemMode cem,
       interval_(interval), confirm_(confirm), lookahead_(lookahead) {
   STEERSIM_EXPECTS(interval >= 1);
   STEERSIM_EXPECTS(confirm >= 1);
-  name_ = "steered";
-  if (cem == CemMode::kExactDivide) {
-    name_ += "-exact";
-  }
-  if (tie_break == TieBreak::kLeastReconfig) {
-    name_ += "-ties:least-reconfig";
-  } else if (tie_break == TieBreak::kLowestIndex) {
-    name_ += "-ties:naive";
-  }
-  if (confirm > 1) {
-    name_ += "-confirm" + std::to_string(confirm);
-  }
-  if (lookahead) {
-    name_ += "-lookahead";
-  }
 }
 
 const std::array<unsigned, kNumCandidates>& SteeredPolicy::candidate_costs(

@@ -13,7 +13,6 @@
 
 #include <memory>
 #include <span>
-#include <string>
 
 #include "common/rng.hpp"
 #include "config/loader.hpp"
@@ -65,7 +64,6 @@ class SteeringPolicy {
   /// call it cycle by cycle inside a proven-idle window.
   virtual void steer(const SteerContext& ctx, ConfigurationLoader& loader) = 0;
 
-  virtual std::string_view name() const = 0;
   const PolicyStats& stats() const { return stats_; }
 
   /// Attaches the cycle tracer and steering audit log (either may be
@@ -95,7 +93,6 @@ class SteeredPolicy final : public SteeringPolicy {
                 bool lookahead = false);
 
   void steer(const SteerContext& ctx, ConfigurationLoader& loader) override;
-  std::string_view name() const override { return name_; }
   const ConfigSelectionUnit& selection_unit() const { return unit_; }
 
  private:
@@ -122,7 +119,6 @@ class SteeredPolicy final : public SteeringPolicy {
   unsigned pending_selection_ = 0;
   unsigned pending_streak_ = 0;
   bool lookahead_;
-  std::string name_;
 
   /// Ready-set change latch: steer() may early-return on countdown cycles
   /// without reading ctx, so changes observed then must survive until the
@@ -155,7 +151,6 @@ class GreedyPolicy final : public SteeringPolicy {
                         double smoothing = 0.125);
 
   void steer(const SteerContext& ctx, ConfigurationLoader& loader) override;
-  std::string_view name() const override { return "greedy"; }
 
  private:
   SteeringSet set_;
@@ -173,12 +168,7 @@ class GreedyPolicy final : public SteeringPolicy {
 /// the difference is the initial allocation the processor is built with).
 class StaticPolicy final : public SteeringPolicy {
  public:
-  explicit StaticPolicy(std::string name) : name_(std::move(name)) {}
   void steer(const SteerContext&, ConfigurationLoader&) override {}
-  std::string_view name() const override { return name_; }
-
- private:
-  std::string name_;
 };
 
 /// Ideal upper bound: each cycle, packs the fabric greedily to the current
@@ -187,7 +177,6 @@ class OraclePolicy final : public SteeringPolicy {
  public:
   explicit OraclePolicy(const SteeringSet& set);
   void steer(const SteerContext& ctx, ConfigurationLoader& loader) override;
-  std::string_view name() const override { return "oracle"; }
 
   /// Greedy fabric packing for a requirement vector: repeatedly gives a
   /// slot region to the type with the largest unmet demand per configured
@@ -209,7 +198,6 @@ class RandomPolicy final : public SteeringPolicy {
   RandomPolicy(const SteeringSet& set, std::uint64_t seed,
                unsigned interval = 16);
   void steer(const SteerContext& ctx, ConfigurationLoader& loader) override;
-  std::string_view name() const override { return "random"; }
 
  private:
   std::array<AllocationVector, kNumPresetConfigs> preset_allocs_;

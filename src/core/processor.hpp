@@ -221,8 +221,9 @@ class Processor {
   MetricRegistry live_metrics() const;
 
   /// Closes the sampler's final partial window so per-counter window
-  /// deltas sum to the end-of-run totals. Called by run() (and again,
-  /// harmlessly, by simulate()); manual step() loops call it themselves.
+  /// deltas sum to the end-of-run totals. Called by run() and by
+  /// MultiCoreSim as each core finishes; manual step() loops call it
+  /// themselves. Calling it again for the same cycle is a no-op.
   void flush_sampler();
 
   /// Test/debug hook invoked for every committed instruction, in order.

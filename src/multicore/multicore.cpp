@@ -1,9 +1,5 @@
 #include "multicore/multicore.hpp"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "common/contracts.hpp"
 
 namespace steersim {
@@ -130,42 +126,7 @@ void MultiCoreSim::merge_traces() {
     fabric_tracer_->close();
     parts.push_back(params_.machine.trace.path + ".fabric");
   }
-  std::ofstream out(params_.machine.trace.path);
-  if (!out.good()) {
-    return;  // same degrade-to-null contract as the Tracer itself
-  }
-  out << "{\"traceEvents\":[\n";
-  bool first = true;
-  constexpr std::string_view kPrefix = "{\"traceEvents\":[\n";
-  constexpr std::string_view kSuffix = "\n]}";
-  for (const std::string& part : parts) {
-    std::ifstream in(part);
-    if (!in.good()) {
-      continue;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string text = std::move(buf).str();
-    const std::size_t start = text.find(kPrefix);
-    const std::size_t end = text.rfind(kSuffix);
-    if (start == std::string::npos || end == std::string::npos ||
-        start + kPrefix.size() > end) {
-      continue;
-    }
-    const std::string_view events =
-        std::string_view(text).substr(start + kPrefix.size(),
-                                      end - start - kPrefix.size());
-    if (!events.empty()) {
-      if (!first) {
-        out << ",\n";
-      }
-      out << events;
-      first = false;
-    }
-    in.close();
-    std::remove(part.c_str());
-  }
-  out << "\n]}\n";
+  merge_trace_parts(params_.machine.trace.path, parts);
 }
 
 MetricRegistry collect_multicore_metrics(const MultiCoreResult& result) {

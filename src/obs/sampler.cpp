@@ -1,6 +1,8 @@
 #include "obs/sampler.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/contracts.hpp"
 #include "common/strings.hpp"
@@ -19,6 +21,19 @@ std::string format_value(double value) {
     return std::to_string(static_cast<std::int64_t>(value));
   }
   return format_double(value, 6);
+}
+
+/// Counter metrics whose deltas become Perfetto tracks, selected by name
+/// prefix ("engine.issues." covers every FU type). The windowed-IPC track
+/// is always emitted.
+constexpr std::string_view kTrackPrefixes[] = {
+    "sim.retired", "sim.issued", "sim.queue_occupancy_sum", "engine.issues.",
+    "steer.steer_events", "loader.slots_rewritten", "fault.", "recovery."};
+
+bool tracked(const std::string& name) {
+  return std::any_of(
+      std::begin(kTrackPrefixes), std::end(kTrackPrefixes),
+      [&](std::string_view prefix) { return starts_with(name, prefix); });
 }
 
 }  // namespace
@@ -45,18 +60,6 @@ std::string IntervalSampler::csv_header() const {
     header += name;
   }
   return header;
-}
-
-bool IntervalSampler::tracked(const std::string& name) const {
-  if (config_.track_prefixes.empty()) {
-    return true;
-  }
-  for (const std::string& prefix : config_.track_prefixes) {
-    if (starts_with(name, prefix)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void IntervalSampler::sample(const MetricRegistry& live, std::uint64_t cycle) {
@@ -123,7 +126,7 @@ void IntervalSampler::capture(const MetricRegistry& live,
                    : window.deltas[retired_index_] /
                          static_cast<double>(window.window_cycles);
 
-  if (tracer_ != nullptr && config_.counter_tracks) {
+  if (tracer_ != nullptr) {
     tracer_->counter("win.ipc", cycle, window.ipc);
     for (std::size_t k = 0; k < track_names_.size(); ++k) {
       if (!track_names_[k].empty()) {

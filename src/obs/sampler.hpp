@@ -39,17 +39,6 @@ struct SamplerConfig {
   /// Empty: keep windows in memory (query via windows()). Non-empty:
   /// stream one CSV row per window to this file instead.
   std::string csv_path;
-  /// Also emit per-window counter tracks through the machine's tracer
-  /// (requires MachineConfig::trace with trace_cat::kCounter in the mask).
-  bool counter_tracks = true;
-  /// Counter metrics whose deltas become Perfetto tracks, selected by
-  /// name prefix ("engine.issues." covers every FU type). The windowed-IPC
-  /// track is always emitted. An empty list tracks every counter.
-  std::vector<std::string> track_prefixes = {
-      "sim.retired",          "sim.issued",
-      "sim.queue_occupancy_sum", "engine.issues.",
-      "steer.steer_events",   "loader.slots_rewritten",
-      "fault.",               "recovery."};
 
   bool enabled() const { return period > 0; }
 };
@@ -65,7 +54,9 @@ struct SampleWindow {
 
 class IntervalSampler {
  public:
-  /// `tracer` may be null (no counter tracks). The sampler never owns it.
+  /// `tracer` may be null (no counter tracks); its trace_cat::kCounter
+  /// bit decides whether windows become counter tracks. The sampler never
+  /// owns it.
   IntervalSampler(const SamplerConfig& config, Tracer* tracer);
   ~IntervalSampler();
 
@@ -100,7 +91,6 @@ class IntervalSampler {
 
  private:
   void capture(const MetricRegistry& live, std::uint64_t cycle);
-  bool tracked(const std::string& name) const;
 
   SamplerConfig config_;
   Tracer* tracer_;

@@ -1,10 +1,13 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 
 #include "common/contracts.hpp"
 #include "common/strings.hpp"
@@ -14,32 +17,9 @@ namespace {
 
 using namespace std::string_view_literals;
 
-// Shared by TraceArgs and the deferred kSteer renderer so eager and
-// batched paths produce identical bytes. to_chars with an explicit
-// precision is specified to match printf "%.6g". JSON has no Inf/NaN
-// literals; render those as strings.
-void append_trace_double(std::string& out, double value) {
-  if (std::isfinite(value)) {
-    char buf[64];
-    const auto r = std::to_chars(buf, buf + sizeof(buf), value,
-                                 std::chars_format::general, 6);
-    out.append(buf, static_cast<std::size_t>(r.ptr - buf));
-  } else {
-    out += '"';
-    out += std::isnan(value) ? "nan" : (value > 0 ? "inf" : "-inf");
-    out += '"';
-  }
-}
-
-void append_u64(std::string& out, std::uint64_t value) {
-  char buf[20];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, static_cast<std::size_t>(r.ptr - buf));
-}
-
-// Unchecked cursor writes for the bounded typed shapes: the caller
-// guarantees buffer capacity, so each literal inlines to a fixed-size
-// memcpy and each number is one to_chars call.
+// Unchecked cursor writes: the caller guarantees buffer capacity, so
+// each literal inlines to a fixed-size memcpy and each number is one
+// to_chars call.
 inline char* put(char* p, std::string_view text) {
   std::memcpy(p, text.data(), text.size());
   return p + text.size();
@@ -49,60 +29,58 @@ inline char* put_u64(char* p, std::uint64_t value) {
   return std::to_chars(p, p + 20, value).ptr;
 }
 
-bool name_clean(std::string_view text) {
-  for (const char ch : text) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    if (c == '"' || c == '\\' || c < 0x20) {
-      return false;
-    }
+// TraceArgs and the kSteer renderer share this, so both render a double
+// to the same bytes. to_chars with an explicit precision is specified to
+// match printf "%.6g" (at most 13 characters). JSON has no Inf/NaN
+// literals; render those as strings.
+char* put_trace_double(char* p, double value) {
+  if (std::isfinite(value)) {
+    return std::to_chars(p, p + 32, value, std::chars_format::general, 6)
+        .ptr;
   }
-  return true;
+  *p++ = '"';
+  p = put(p, std::isnan(value) ? "nan"sv : (value > 0 ? "inf"sv : "-inf"sv));
+  *p++ = '"';
+  return p;
 }
 
-// append_json_escaped walks character by character; event names almost
-// never need escaping, so bulk-append the clean prefix first.
-void append_escaped(std::string& out, std::string_view text) {
-  std::size_t clean = 0;
-  while (clean < text.size()) {
-    const unsigned char c = static_cast<unsigned char>(text[clean]);
-    if (c == '"' || c == '\\' || c < 0x20) {
-      break;
-    }
-    ++clean;
+// Event names almost never need escaping: copy the clean prefix in one
+// piece and hand only the rest to append_json_escaped, whose output is at
+// most six bytes per input byte.
+char* put_escaped(char* p, std::string_view text) {
+  const auto dirty = std::find_if(text.begin(), text.end(), [](char ch) {
+    const unsigned char c = static_cast<unsigned char>(ch);
+    return c == '"' || c == '\\' || c < 0x20;
+  });
+  const auto clean = static_cast<std::size_t>(dirty - text.begin());
+  p = put(p, text.substr(0, clean));
+  if (clean == text.size()) {
+    return p;
   }
-  out.append(text.data(), clean);
-  if (clean < text.size()) {
-    append_json_escaped(out, text.substr(clean));
-  }
+  std::string rest;
+  append_json_escaped(rest, text.substr(clean));
+  return put(p, rest);
 }
+
+// The document envelope. Tracer writes it around its events and
+// merge_trace_parts strips it from each part; the suffix leaves out the
+// document's final newline, which both writers append.
+constexpr std::string_view kDocPrefix = "{\"traceEvents\":[\n";
+constexpr std::string_view kDocSuffix = "\n]}";
+
+using Shape = TraceRecord::Shape;
 
 }  // namespace
 
 std::string_view trace_cat::name(std::uint32_t category) {
-  switch (category) {
-    case kFetch:
-      return "fetch";
-    case kDispatch:
-      return "dispatch";
-    case kExecute:
-      return "execute";
-    case kCommit:
-      return "commit";
-    case kSteer:
-      return "steer";
-    case kLoader:
-      return "loader";
-    case kFault:
-      return "fault";
-    case kRecovery:
-      return "recovery";
-    case kCounter:
-      return "counter";
-    case kSkip:
-      return "skip";
-    default:
-      return "misc";
-  }
+  // Indexed by category bit: kFetch is bit 0, kSkip bit 9.
+  static constexpr std::string_view kNames[] = {
+      "fetch",  "dispatch", "execute",  "commit",  "steer",
+      "loader", "fault",    "recovery", "counter", "skip"};
+  const auto bit = static_cast<std::size_t>(std::countr_zero(category));
+  return std::has_single_bit(category) && bit < std::size(kNames)
+             ? kNames[bit]
+             : "misc";
 }
 
 void TraceArgs::key(std::string_view k) {
@@ -128,7 +106,8 @@ TraceArgs& TraceArgs::num(std::string_view k, std::int64_t value) {
 
 TraceArgs& TraceArgs::num(std::string_view k, double value) {
   key(k);
-  append_trace_double(json_, value);
+  char buf[32];
+  json_.append(buf, put_trace_double(buf, value));
   return *this;
 }
 
@@ -149,11 +128,11 @@ Tracer::Tracer(const TraceConfig& config)
   sink_ok_ = out_.good();
   if (!sink_ok_) {
     // Warn once per process: a long sweep with a bad trace directory
-    // should not print thousands of identical lines. The tracer keeps
+    // should not print thousands of identical lines, and parallel sweeps
+    // build tracers on several threads at once. The tracer keeps
     // accepting (and counting) events so sim behaviour is unchanged.
-    static bool warned = false;
-    if (!warned) {
-      warned = true;
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true)) {
       std::fprintf(stderr,
                    "steersim: warning: cannot open trace output '%s'; "
                    "tracing degrades to a null sink\n",
@@ -175,9 +154,9 @@ Tracer::Tracer(const TraceConfig& config)
 
 Tracer::~Tracer() { close(); }
 
-void Tracer::emit_prefix() { out_ << "{\"traceEvents\":[\n"; }
+void Tracer::emit_prefix() { out_ << kDocPrefix; }
 
-void Tracer::emit_suffix() { out_ << "\n]}\n"; }
+void Tracer::emit_suffix() { out_ << kDocSuffix << '\n'; }
 
 void Tracer::close() {
   if (!open_) {
@@ -198,10 +177,24 @@ void Tracer::close() {
   open_ = false;
 }
 
-void Tracer::reserve_record() {
+TraceRecord* Tracer::accept(bool wanted, Shape shape,
+                            std::uint32_t category, unsigned lane,
+                            std::uint64_t ts) {
+  if (!open_ || !wanted) {
+    return nullptr;
+  }
   if (ring_len_ == kRingCapacity) {
     flush();
   }
+  TraceRecord& rec = ring_[ring_len_++];
+  rec.shape = shape;
+  rec.category = category;
+  rec.lane = lane;
+  rec.ts = ts;
+  if (shape != Shape::kLaneMeta) {
+    ++events_emitted_;
+  }
+  return &rec;
 }
 
 std::uint32_t Tracer::intern(std::string_view text) {
@@ -210,168 +203,113 @@ std::uint32_t Tracer::intern(std::string_view text) {
 }
 
 void Tracer::ensure_lane(unsigned lane, std::string_view name) {
-  if (!open_ || lane_named(lane)) {
-    return;
+  if (TraceRecord* const rec = accept(!lane_named(lane), Shape::kLaneMeta,
+                                      0, lane, 0)) {
+    if (lane >= named_lanes_.size()) {
+      named_lanes_.resize(lane + 1, false);
+    }
+    named_lanes_[lane] = true;
+    rec->name_index = intern(name);
   }
-  if (lane >= named_lanes_.size()) {
-    named_lanes_.resize(lane + 1, false);
-  }
-  named_lanes_[lane] = true;
-  reserve_record();
-  TraceRecord& rec = ring_[ring_len_++];
-  rec.shape = TraceRecord::Shape::kLaneMeta;
-  rec.lane = lane;
-  rec.name_index = intern(name);
 }
 
 void Tracer::instant(std::string_view name, std::uint32_t category,
                      unsigned lane, std::uint64_t cycle,
                      const TraceArgs& args) {
-  if (!open_ || !wants(category, cycle)) {
-    return;
+  if (TraceRecord* const rec = accept(wants(category, cycle),
+                                      Shape::kInstantBody, category, lane,
+                                      cycle)) {
+    rec->name_index = intern(name);
+    rec->body_index =
+        args.empty() ? TraceRecord::kNoString : intern(args.body());
   }
-  reserve_record();
-  TraceRecord& rec = ring_[ring_len_++];
-  rec.shape = TraceRecord::Shape::kInstantBody;
-  rec.ts = cycle;
-  rec.category = category;
-  rec.lane = lane;
-  rec.name_index = intern(name);
-  rec.body_index =
-      args.empty() ? TraceRecord::kNoString : intern(args.body());
-  ++events_emitted_;
 }
 
 void Tracer::complete(std::string_view name, std::uint32_t category,
                       unsigned lane, std::uint64_t start,
                       std::uint64_t duration, const TraceArgs& args) {
-  if (!open_ || !wants_span(category, start, duration)) {
-    return;
+  if (TraceRecord* const rec = accept(wants_span(category, start, duration),
+                                      Shape::kCompleteBody, category, lane,
+                                      start)) {
+    rec->dur = duration;
+    rec->name_index = intern(name);
+    rec->body_index =
+        args.empty() ? TraceRecord::kNoString : intern(args.body());
   }
-  reserve_record();
-  TraceRecord& rec = ring_[ring_len_++];
-  rec.shape = TraceRecord::Shape::kCompleteBody;
-  rec.ts = start;
-  rec.dur = duration;
-  rec.category = category;
-  rec.lane = lane;
-  rec.name_index = intern(name);
-  rec.body_index =
-      args.empty() ? TraceRecord::kNoString : intern(args.body());
-  ++events_emitted_;
 }
 
 void Tracer::counter(std::string_view name, std::uint64_t cycle,
                      double value) {
-  if (!open_ || !wants(trace_cat::kCounter, cycle)) {
-    return;
+  if (TraceRecord* const rec = accept(wants(trace_cat::kCounter, cycle),
+                                      Shape::kCounter, trace_cat::kCounter,
+                                      0, cycle)) {
+    rec->a = std::bit_cast<std::uint64_t>(value);
+    rec->name_index = intern(name);
   }
-  reserve_record();
-  TraceRecord& rec = ring_[ring_len_++];
-  rec.shape = TraceRecord::Shape::kCounter;
-  rec.ts = cycle;
-  rec.a = std::bit_cast<std::uint64_t>(value);
-  rec.name_index = intern(name);
-  ++events_emitted_;
 }
 
 void Tracer::instant_pc_id(std::string_view name, std::uint32_t category,
                            unsigned lane, std::uint64_t cycle,
                            std::uint64_t pc, std::uint64_t id) {
-  if (!open_ || !wants(category, cycle)) {
-    return;
+  if (TraceRecord* const rec = accept(wants(category, cycle),
+                                      Shape::kInstantPcId, category, lane,
+                                      cycle)) {
+    rec->a = pc;
+    rec->b = id;
+    rec->name = name;
   }
-  reserve_record();
-  TraceRecord& rec = ring_[ring_len_++];
-  rec.shape = TraceRecord::Shape::kInstantPcId;
-  rec.ts = cycle;
-  rec.a = pc;
-  rec.b = id;
-  rec.category = category;
-  rec.lane = lane;
-  rec.name = name;
-  ++events_emitted_;
 }
 
 void Tracer::complete_pc_id(std::string_view name, unsigned lane,
                             std::uint64_t start, std::uint64_t duration,
                             std::uint64_t pc, std::uint64_t id) {
-  if (!open_ || !wants_span(trace_cat::kExecute, start, duration)) {
-    return;
+  if (TraceRecord* const rec =
+          accept(wants_span(trace_cat::kExecute, start, duration),
+                 Shape::kCompletePcId, trace_cat::kExecute, lane, start)) {
+    rec->dur = duration;
+    rec->a = pc;
+    rec->b = id;
+    rec->name = name;
   }
-  reserve_record();
-  TraceRecord& rec = ring_[ring_len_++];
-  rec.shape = TraceRecord::Shape::kCompletePcId;
-  rec.ts = start;
-  rec.dur = duration;
-  rec.a = pc;
-  rec.b = id;
-  rec.category = trace_cat::kExecute;
-  rec.lane = lane;
-  rec.name = name;
-  ++events_emitted_;
 }
 
 void Tracer::instant_fetch(std::uint64_t cycle, std::uint64_t pc,
                            std::uint64_t count, bool from_trace) {
-  if (!open_ || !wants(trace_cat::kFetch, cycle)) {
-    return;
+  if (TraceRecord* const rec =
+          accept(wants(trace_cat::kFetch, cycle), Shape::kFetch,
+                 trace_cat::kFetch, trace_lane::kFetch, cycle)) {
+    rec->a = pc;
+    rec->b = count;
+    rec->c = from_trace ? 1 : 0;
   }
-  reserve_record();
-  TraceRecord& rec = ring_[ring_len_++];
-  rec.shape = TraceRecord::Shape::kFetch;
-  rec.name = {};  // reused slot; the render guard inspects the name
-  rec.ts = cycle;
-  rec.a = pc;
-  rec.b = count;
-  rec.c = from_trace ? 1 : 0;
-  rec.category = trace_cat::kFetch;
-  rec.lane = trace_lane::kFetch;
-  ++events_emitted_;
 }
 
 void Tracer::instant_steer(std::uint64_t cycle, std::uint64_t selection,
                            double error, std::uint64_t cost,
                            std::uint64_t streak, std::string_view intent) {
-  if (!open_ || !wants(trace_cat::kSteer, cycle)) {
+  if (!wants(trace_cat::kSteer, cycle)) {
     return;
   }
   ensure_lane(trace_lane::kSteer, "steer");
-  reserve_record();
-  TraceRecord& rec = ring_[ring_len_++];
-  rec.shape = TraceRecord::Shape::kSteer;
-  rec.ts = cycle;
-  rec.dur = streak;
-  rec.a = selection;
-  rec.b = std::bit_cast<std::uint64_t>(error);
-  rec.c = cost;
-  rec.category = trace_cat::kSteer;
-  rec.lane = trace_lane::kSteer;
-  rec.name = intent;
-  ++events_emitted_;
+  if (TraceRecord* const rec = accept(true, Shape::kSteer, trace_cat::kSteer,
+                                      trace_lane::kSteer, cycle)) {
+    rec->dur = streak;
+    rec->a = selection;
+    rec->b = std::bit_cast<std::uint64_t>(error);
+    rec->c = cost;
+    rec->name = intent;
+  }
 }
 
 void Tracer::skip_span(std::uint64_t start, std::uint64_t cycles) {
-  if (!open_ || !wants_span(trace_cat::kSkip, start, cycles)) {
+  if (!wants_span(trace_cat::kSkip, start, cycles)) {
     return;
   }
   ensure_lane(trace_lane::kSkip, "skip");
-  reserve_record();
-  TraceRecord& rec = ring_[ring_len_++];
-  rec.shape = TraceRecord::Shape::kSkip;
-  rec.name = {};  // reused slot; the render guard inspects the name
-  rec.ts = start;
-  rec.dur = cycles;
-  rec.category = trace_cat::kSkip;
-  rec.lane = trace_lane::kSkip;
-  ++events_emitted_;
-}
-
-void Tracer::begin_event(std::string& out) {
-  if (!first_event_) {
-    out += ",\n";
+  if (TraceRecord* const rec = accept(true, Shape::kSkip, trace_cat::kSkip,
+                                      trace_lane::kSkip, start)) {
+    rec->dur = cycles;
   }
-  first_event_ = false;
 }
 
 void Tracer::ensure_render(std::size_t need) {
@@ -393,9 +331,10 @@ void Tracer::grow_render(std::size_t need) {
   render_cap_ = cap;
 }
 
-/// Worst case for one hot typed record: every literal, six 20-digit
-/// numbers, a 13-char double and a <=64-char name stay under this.
-constexpr std::size_t kHotRecordBound = 384;
+/// Worst case for one record apart from its name and args body: every
+/// literal, six 20-digit numbers, a 24-char double, two pid fragments and
+/// the memo copies' slack past their digits stay under this.
+constexpr std::size_t kRecordBound = 320;
 
 char* Tracer::put_ts(char* p, std::uint64_t ts) {
   if (memo_ts_len_ != 0 && ts == memo_ts_) {
@@ -411,262 +350,148 @@ char* Tracer::put_ts(char* p, std::uint64_t ts) {
 }
 
 void Tracer::render(const TraceRecord& rec) {
-  using Shape = TraceRecord::Shape;
-  // Hot typed shapes (the bulk of any machine-level trace) render through
-  // unchecked cursor writes straight into the flush buffer — one bounds
-  // check per record, then each literal inlines to a fixed-size memcpy
-  // and each number is one to_chars call. Every component is bounded:
-  // literals, <=20-digit numbers, and a short clean name. Anything
-  // unusual falls through to the general checked path below.
-  const bool typed_hot =
-      rec.shape == Shape::kInstantPcId || rec.shape == Shape::kCompletePcId ||
-      rec.shape == Shape::kFetch || rec.shape == Shape::kSteer ||
-      rec.shape == Shape::kSkip;
-  if (typed_hot && rec.name.size() <= 64 && name_clean(rec.name)) {
-    ensure_render(kHotRecordBound);
-    char* const buf = render_buf_.get() + render_len_;
-    char* p = buf;
-    if (!first_event_) {
-      p = put(p, ",\n"sv);
-    }
-    first_event_ = false;
-    // One straight-line sequence per shape: constant name/cat/ph runs
-    // merge into single fixed-size copies instead of a field-by-field
-    // assembly, leaving one to_chars call per numeric field.
-    switch (rec.shape) {
-      case Shape::kInstantPcId: {
-        p = put(p, R"({"name":")"sv);
-        p = put(p, rec.name);
-        if (rec.category == trace_cat::kDispatch) {
-          p = put(p, R"(","cat":"dispatch","ph":"i","s":"t","ts":)"sv);
-        } else if (rec.category == trace_cat::kCommit) {
-          p = put(p, R"(","cat":"commit","ph":"i","s":"t","ts":)"sv);
-        } else {
-          p = put(p, R"(","cat":")"sv);
-          p = put(p, trace_cat::name(rec.category));
-          p = put(p, R"(","ph":"i","s":"t","ts":)"sv);
-        }
-        p = put_ts(p, rec.ts);
-        p = put(p, pid_frag_);
-        p = put(p, R"(,"tid":)"sv);
-        p = put_u64(p, rec.lane);
-        p = put(p, R"(,"args":{"pc":)"sv);
-        p = put_u64(p, rec.a);
-        p = put(p, R"(,"id":)"sv);
-        p = put_u64(p, rec.b);
-        p = put(p, "}}"sv);
-        break;
-      }
-      case Shape::kCompletePcId: {
-        p = put(p, R"({"name":")"sv);
-        p = put(p, rec.name);
-        p = put(p, R"(","cat":"execute","ph":"X","ts":)"sv);
-        p = put_ts(p, rec.ts);
-        p = put(p, R"(,"dur":)"sv);
-        p = put_u64(p, rec.dur);
-        p = put(p, pid_frag_);
-        p = put(p, R"(,"tid":)"sv);
-        p = put_u64(p, rec.lane);
-        p = put(p, R"(,"args":{"pc":)"sv);
-        p = put_u64(p, rec.a);
-        p = put(p, R"(,"id":)"sv);
-        p = put_u64(p, rec.b);
-        p = put(p, "}}"sv);
-        break;
-      }
-      case Shape::kFetch: {
-        p = put(p, R"({"name":"fetch","cat":"fetch","ph":"i","s":"t","ts":)"sv);
-        p = put_ts(p, rec.ts);
-        p = put(p, pid_frag_);
-        p = put(p, R"(,"tid":0,"args":{"pc":)"sv);
-        p = put_u64(p, rec.a);
-        p = put(p, R"(,"count":)"sv);
-        p = put_u64(p, rec.b);
-        p = put(p, R"(,"from_trace":)"sv);
-        p = put_u64(p, rec.c);
-        p = put(p, "}}"sv);
-        break;
-      }
-      case Shape::kSteer: {
-        p = put(p, R"({"name":"steer","cat":"steer","ph":"i","s":"t","ts":)"sv);
-        p = put_ts(p, rec.ts);
-        p = put(p, pid_frag_);
-        p = put(p, R"(,"tid":3,"args":{"selection":)"sv);
-        p = put_u64(p, rec.a);
-        p = put(p, R"(,"error":)"sv);
-        if (memo_len_ != 0 && rec.b == memo_bits_) {
-          std::memcpy(p, memo_buf_, sizeof(memo_buf_));
-          p += memo_len_;
-        } else {
-          char* const digits = p;
-          const double error = std::bit_cast<double>(rec.b);
-          if (std::isfinite(error)) {
-            p = std::to_chars(p, p + 32, error, std::chars_format::general, 6)
-                    .ptr;
-          } else {
-            *p++ = '"';
-            p = put(p, std::isnan(error) ? "nan"sv
-                                         : (error > 0 ? "inf"sv : "-inf"sv));
-            *p++ = '"';
-          }
-          memo_bits_ = rec.b;
-          memo_len_ = static_cast<unsigned>(p - digits);
-          std::memcpy(memo_buf_, digits, memo_len_);
-        }
-        p = put(p, R"(,"cost":)"sv);
-        p = put_u64(p, rec.c);
-        p = put(p, R"(,"streak":)"sv);
-        p = put_u64(p, rec.dur);
-        p = put(p, R"(,"intent":")"sv);
-        p = put(p, rec.name);
-        p = put(p, "\"}}"sv);
-        break;
-      }
-      case Shape::kSkip: {
-        p = put(p, R"({"name":"skip","cat":"skip","ph":"X","ts":)"sv);
-        p = put_ts(p, rec.ts);
-        p = put(p, R"(,"dur":)"sv);
-        p = put_u64(p, rec.dur);
-        p = put(p, pid_frag_);
-        p = put(p, R"(,"tid":7,"args":{"cycles":)"sv);
-        p = put_u64(p, rec.dur);
-        p = put(p, "}}"sv);
-        break;
-      }
-      default:
-        break;
-    }
-    render_len_ += static_cast<std::size_t>(p - buf);
-    return;
-  }
-  scratch_.clear();
-  render_general(rec, scratch_);
-  ensure_render(scratch_.size());
-  std::memcpy(render_buf_.get() + render_len_, scratch_.data(),
-              scratch_.size());
-  render_len_ += scratch_.size();
-}
-
-void Tracer::render_general(const TraceRecord& rec, std::string& out) {
-  using Shape = TraceRecord::Shape;
-  if (rec.shape == Shape::kLaneMeta) {
-    begin_event(out);
-    out += R"({"name":"thread_name","ph":"M")"sv;
-    out += pid_frag_;
-    out += R"(,"tid":)"sv;
-    append_u64(out, rec.lane);
-    out += R"(,"args":{"name":")"sv;
-    append_escaped(out, pool_[rec.name_index]);
-    out += "\"}}"sv;
-    // Sort-index metadata keeps lanes in our numeric order in the viewer.
-    begin_event(out);
-    out += R"({"name":"thread_sort_index","ph":"M")"sv;
-    out += pid_frag_;
-    out += R"(,"tid":)"sv;
-    append_u64(out, rec.lane);
-    out += R"(,"args":{"sort_index":)"sv;
-    append_u64(out, rec.lane);
-    out += "}}"sv;
-    return;
-  }
-  if (rec.shape == Shape::kCounter) {
-    begin_event(out);
-    out += R"({"name":")"sv;
-    append_escaped(out, pool_[rec.name_index]);
-    out += R"(","cat":"counter","ph":"C","ts":)"sv;
-    append_u64(out, rec.ts);
-    out += pid_frag_;
-    out += R"(,"args":{"value":)"sv;
-    out += json_number(std::bit_cast<double>(rec.a));
-    out += "}}"sv;
-    return;
-  }
-
-  begin_event(out);
-  out += R"({"name":")"sv;
-  switch (rec.shape) {
-    case Shape::kInstantBody:
-    case Shape::kCompleteBody:
-      append_escaped(out, pool_[rec.name_index]);
-      break;
-    case Shape::kFetch:
-      out += "fetch"sv;
-      break;
-    case Shape::kSteer:
-      out += "steer"sv;
-      break;
-    case Shape::kSkip:
-      out += "skip"sv;
-      break;
-    default:
-      append_escaped(out, rec.name);
-      break;
-  }
-  out += R"(","cat":")"sv;
-  out += trace_cat::name(rec.category);
-  const bool is_span = rec.shape == Shape::kCompleteBody ||
-                       rec.shape == Shape::kCompletePcId ||
-                       rec.shape == Shape::kSkip;
-  if (is_span) {
-    out += R"(","ph":"X","ts":)"sv;
-    append_u64(out, rec.ts);
-    out += R"(,"dur":)"sv;
-    append_u64(out, rec.dur);
-  } else {
-    out += R"(","ph":"i","s":"t","ts":)"sv;
-    append_u64(out, rec.ts);
-  }
-  out += pid_frag_;
-  out += R"(,"tid":)"sv;
-  append_u64(out, rec.lane);
+  const std::string_view cat = trace_cat::name(rec.category);
+  // The shape decides where the name lives: ring slots are reused, so the
+  // intern indices are stale on typed records. Fetch, steer and skip
+  // events are named after their category.
+  std::string_view name = cat;
+  std::string_view body;
+  std::string_view intent;
   switch (rec.shape) {
     case Shape::kInstantBody:
     case Shape::kCompleteBody:
       if (rec.body_index != TraceRecord::kNoString) {
-        out += R"(,"args":{)"sv;
-        out += pool_[rec.body_index];
-        out += '}';
+        body = pool_[rec.body_index];
       }
+      [[fallthrough]];
+    case Shape::kLaneMeta:
+    case Shape::kCounter:
+      name = pool_[rec.name_index];
       break;
     case Shape::kInstantPcId:
     case Shape::kCompletePcId:
-      out += R"(,"args":{"pc":)"sv;
-      append_u64(out, rec.a);
-      out += R"(,"id":)"sv;
-      append_u64(out, rec.b);
-      out += '}';
-      break;
-    case Shape::kFetch:
-      out += R"(,"args":{"pc":)"sv;
-      append_u64(out, rec.a);
-      out += R"(,"count":)"sv;
-      append_u64(out, rec.b);
-      out += R"(,"from_trace":)"sv;
-      append_u64(out, rec.c);
-      out += '}';
+      name = rec.name;
       break;
     case Shape::kSteer:
-      out += R"(,"args":{"selection":)"sv;
-      append_u64(out, rec.a);
-      out += R"(,"error":)"sv;
-      append_trace_double(out, std::bit_cast<double>(rec.b));
-      out += R"(,"cost":)"sv;
-      append_u64(out, rec.c);
-      out += R"(,"streak":)"sv;
-      append_u64(out, rec.dur);
-      out += R"(,"intent":")"sv;
-      append_escaped(out, rec.name);
-      out += "\"}"sv;
+      intent = rec.name;
       break;
+    case Shape::kFetch:
     case Shape::kSkip:
-      out += R"(,"args":{"cycles":)"sv;
-      append_u64(out, rec.dur);
-      out += '}';
-      break;
-    default:
       break;
   }
-  out += '}';
+  // One bounds check per record, then unchecked cursor writes straight
+  // into the flush buffer.
+  ensure_render(kRecordBound + 6 * (name.size() + intent.size()) +
+                body.size());
+  char* const buf = render_buf_.get() + render_len_;
+  char* p = buf;
+  if (!first_event_) {
+    p = put(p, ",\n"sv);
+  }
+  first_event_ = false;
+  if (rec.shape == Shape::kLaneMeta) {
+    p = put(p, R"({"name":"thread_name","ph":"M")"sv);
+    p = put(p, pid_frag_);
+    p = put(p, R"(,"tid":)"sv);
+    p = put_u64(p, rec.lane);
+    p = put(p, R"(,"args":{"name":")"sv);
+    p = put_escaped(p, name);
+    p = put(p, "\"}},\n"sv);
+    // Sort-index metadata keeps lanes in our numeric order in the viewer.
+    p = put(p, R"({"name":"thread_sort_index","ph":"M")"sv);
+    p = put(p, pid_frag_);
+    p = put(p, R"(,"tid":)"sv);
+    p = put_u64(p, rec.lane);
+    p = put(p, R"(,"args":{"sort_index":)"sv);
+    p = put_u64(p, rec.lane);
+    p = put(p, "}}"sv);
+    render_len_ += static_cast<std::size_t>(p - buf);
+    return;
+  }
+  p = put(p, R"({"name":")"sv);
+  p = put_escaped(p, name);
+  p = put(p, R"(","cat":")"sv);
+  p = put(p, cat);
+  const bool span = rec.shape == Shape::kCompleteBody ||
+                    rec.shape == Shape::kCompletePcId ||
+                    rec.shape == Shape::kSkip;
+  if (rec.shape == Shape::kCounter) {
+    p = put(p, R"(","ph":"C","ts":)"sv);
+  } else if (span) {
+    p = put(p, R"(","ph":"X","ts":)"sv);
+  } else {
+    p = put(p, R"(","ph":"i","s":"t","ts":)"sv);
+  }
+  p = put_ts(p, rec.ts);
+  if (span) {
+    p = put(p, R"(,"dur":)"sv);
+    p = put_u64(p, rec.dur);
+  }
+  p = put(p, pid_frag_);
+  if (rec.shape != Shape::kCounter) {
+    p = put(p, R"(,"tid":)"sv);
+    p = put_u64(p, rec.lane);
+  }
+  switch (rec.shape) {
+    case Shape::kCounter:
+      p = put(p, R"(,"args":{"value":)"sv);
+      p = put(p, json_number(std::bit_cast<double>(rec.a)));
+      *p++ = '}';
+      break;
+    case Shape::kInstantPcId:
+    case Shape::kCompletePcId:
+      p = put(p, R"(,"args":{"pc":)"sv);
+      p = put_u64(p, rec.a);
+      p = put(p, R"(,"id":)"sv);
+      p = put_u64(p, rec.b);
+      *p++ = '}';
+      break;
+    case Shape::kFetch:
+      p = put(p, R"(,"args":{"pc":)"sv);
+      p = put_u64(p, rec.a);
+      p = put(p, R"(,"count":)"sv);
+      p = put_u64(p, rec.b);
+      p = put(p, R"(,"from_trace":)"sv);
+      p = put_u64(p, rec.c);
+      *p++ = '}';
+      break;
+    case Shape::kSteer:
+      p = put(p, R"(,"args":{"selection":)"sv);
+      p = put_u64(p, rec.a);
+      p = put(p, R"(,"error":)"sv);
+      if (memo_len_ != 0 && rec.b == memo_bits_) {
+        std::memcpy(p, memo_buf_, sizeof(memo_buf_));
+        p += memo_len_;
+      } else {
+        char* const digits = p;
+        p = put_trace_double(p, std::bit_cast<double>(rec.b));
+        memo_bits_ = rec.b;
+        memo_len_ = static_cast<unsigned>(p - digits);
+        std::memcpy(memo_buf_, digits, memo_len_);
+      }
+      p = put(p, R"(,"cost":)"sv);
+      p = put_u64(p, rec.c);
+      p = put(p, R"(,"streak":)"sv);
+      p = put_u64(p, rec.dur);
+      p = put(p, R"(,"intent":")"sv);
+      p = put_escaped(p, intent);
+      p = put(p, "\"}"sv);
+      break;
+    case Shape::kSkip:
+      p = put(p, R"(,"args":{"cycles":)"sv);
+      p = put_u64(p, rec.dur);
+      *p++ = '}';
+      break;
+    default:
+      if (!body.empty()) {
+        p = put(p, R"(,"args":{)"sv);
+        p = put(p, body);
+        *p++ = '}';
+      }
+      break;
+  }
+  *p++ = '}';
+  render_len_ += static_cast<std::size_t>(p - buf);
 }
 
 void Tracer::flush() {
@@ -693,6 +518,44 @@ void Tracer::flush() {
   }
   ring_len_ = 0;
   pool_.clear();
+}
+
+void merge_trace_parts(const std::string& path,
+                       const std::vector<std::string>& parts) {
+  std::ofstream out(path);
+  if (!out.good()) {
+    return;  // same degrade-to-null contract as the Tracer itself
+  }
+  out << kDocPrefix;
+  bool first = true;
+  for (const std::string& part : parts) {
+    std::ifstream in(part);
+    if (!in.good()) {
+      continue;
+    }
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string text = std::move(buf).str();
+    const std::size_t start = text.find(kDocPrefix);
+    const std::size_t end = text.rfind(kDocSuffix);
+    if (start == std::string::npos || end == std::string::npos ||
+        start + kDocPrefix.size() > end) {
+      continue;
+    }
+    const std::string_view events =
+        std::string_view(text).substr(start + kDocPrefix.size(),
+                                      end - start - kDocPrefix.size());
+    if (!events.empty()) {
+      if (!first) {
+        out << ",\n";
+      }
+      out << events;
+      first = false;
+    }
+    in.close();
+    std::remove(part.c_str());
+  }
+  out << kDocSuffix << '\n';
 }
 
 }  // namespace steersim

@@ -23,12 +23,14 @@
 // and therefore the emitted document, is deterministic: records render in
 // exactly the order they were recorded.
 //
-// Hot call sites use the typed emitters (instant_pc_id, complete_pc_id,
-// instant_fetch, instant_steer, skip_span), whose name/intent strings
-// must have static storage duration (opcode tables, literals). The
-// generic instant()/complete()/counter()/ensure_lane() paths copy their
-// strings into a small intern pool that is recycled on flush, so any
-// lifetime is safe there.
+// Typed and generic emitters differ only in how they record. Hot call
+// sites use the typed emitters (instant_pc_id, complete_pc_id,
+// instant_fetch, instant_steer, skip_span), which store numbers and a
+// string_view that must have static storage duration (opcode tables,
+// literals). The generic instant()/complete()/counter()/ensure_lane()
+// paths copy their strings into a small intern pool that is recycled on
+// flush, so any lifetime is safe there. One renderer writes every shape,
+// escaping names wherever they came from.
 #pragma once
 
 #include <cstdint>
@@ -132,8 +134,10 @@ struct TraceRecord {
   std::uint64_t c = 0;
   /// Static-storage name for typed shapes (intent string for kSteer).
   std::string_view name;
-  std::uint32_t name_index = kNoString;  ///< intern-pool name (dynamic)
-  std::uint32_t body_index = kNoString;  ///< intern-pool args body
+  /// Intern-pool name and args body of the generic shapes (kLaneMeta,
+  /// kCounter, k*Body); stale on the typed shapes, whose slots are reused.
+  std::uint32_t name_index = kNoString;
+  std::uint32_t body_index = kNoString;
   std::uint32_t category = 0;
   std::uint32_t lane = 0;
   Shape shape = Shape::kInstantBody;
@@ -243,15 +247,16 @@ class Tracer {
  private:
   void emit_prefix();
   void emit_suffix();
-  /// Flushes when the ring is full. Call before interning strings for a
-  /// new record so pool indices never dangle across a flush.
-  void reserve_record();
+  /// The accept step every emitter shares: null when the tracer is closed
+  /// or `wanted` is false, else the next ring slot (flushing a full ring
+  /// first, so intern indices never dangle across a flush) with its common
+  /// fields set. Every shape but lane metadata counts as an emitted event.
+  TraceRecord* accept(bool wanted, TraceRecord::Shape shape,
+                      std::uint32_t category, unsigned lane,
+                      std::uint64_t ts);
   std::uint32_t intern(std::string_view text);
-  void begin_event(std::string& out);
-  /// Renders one record at the render cursor (hot typed shapes) or via
-  /// the checked scratch string (everything else).
+  /// Renders one record at the render cursor.
   void render(const TraceRecord& rec);
-  void render_general(const TraceRecord& rec, std::string& out);
   /// Guarantees `need` writable bytes at the render cursor.
   void ensure_render(std::size_t need);
   void grow_render(std::size_t need);
@@ -269,18 +274,16 @@ class Tracer {
   std::vector<bool> named_lanes_;
   /// Preconstructed record slots plus a fill cursor: recording reuses
   /// slots instead of re-initializing 64 bytes per event, so each
-  /// emitter writes exactly the fields its shape renders (plus `name`
-  /// where the render fast-path guard inspects it).
+  /// emitter writes exactly the fields its shape renders.
   std::vector<TraceRecord> ring_;
   std::size_t ring_len_ = 0;
   std::vector<std::string> pool_;
   /// Flush-time render area: a flat byte buffer written through a raw
-  /// cursor (one bounds check per record), handed to the sink in one
-  /// write per flush.
+  /// cursor (one bounds check per record), handed to the sink in bulk
+  /// writes.
   std::unique_ptr<char[]> render_buf_;
   std::size_t render_cap_ = 0;
   std::size_t render_len_ = 0;
-  std::string scratch_;  ///< staging for the general (unbounded) shapes
   /// Steering error values repeat for long stretches (holds re-evaluate
   /// the same window); cache the last double's rendered digits. Likewise
   /// several events usually land on the same cycle, so cache the last
@@ -292,5 +295,13 @@ class Tracer {
   unsigned memo_ts_len_ = 0;
   char memo_ts_buf_[24] = {};
 };
+
+/// Merges finished trace documents into one at `path`: the events of each
+/// part, in order, inside one envelope. Each merged part file is deleted;
+/// a missing or malformed part is skipped and kept. When `path` cannot be
+/// opened the merge degrades to a null sink, like Tracer, and keeps every
+/// part.
+void merge_trace_parts(const std::string& path,
+                       const std::vector<std::string>& parts);
 
 }  // namespace steersim

@@ -32,12 +32,9 @@ namespace steersim {
 struct RecoveryParams {
   /// Cycles between architectural snapshots; 0 disables the subsystem
   /// entirely (the machine is then bit-identical to a build without it).
+  /// A permanent slot failure or an uncorrectable ECC event escalated by
+  /// the loader always rolls back to the last checkpoint.
   unsigned checkpoint_interval = 0;
-  /// Roll back to the last checkpoint when a permanent slot failure is
-  /// accepted, instead of relying on kill/retry granularity alone.
-  bool rollback_on_permanent = true;
-  /// Roll back when the loader escalates an uncorrectable ECC event.
-  bool rollback_on_uncorrectable = true;
 
   bool enabled() const { return checkpoint_interval > 0; }
 };

@@ -65,14 +65,12 @@ std::unique_ptr<Processor> make_processor(const Program& program,
                                                spec.interval, spec.confirm,
                                                spec.lookahead);
       break;
-    case PolicyKind::kStaticFfu:
-      policy = std::make_unique<StaticPolicy>("static-ffu");
-      break;
     case PolicyKind::kStaticPreset:
       STEERSIM_EXPECTS(spec.preset_index < kNumPresetConfigs);
-      policy = std::make_unique<StaticPolicy>(
-          "static-" + set.preset_names[spec.preset_index]);
       initial = set.preset_allocation(spec.preset_index);
+      [[fallthrough]];
+    case PolicyKind::kStaticFfu:
+      policy = std::make_unique<StaticPolicy>();
       break;
     case PolicyKind::kOracle:
       policy = std::make_unique<OraclePolicy>(set);

@@ -3,11 +3,14 @@
 // sampler, and — most importantly — that enabling any of it leaves
 // simulated statistics bit-identical.
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -107,6 +110,53 @@ TEST(Tracer, CategoryAndWindowFilters) {
   EXPECT_FALSE(tracer.wants(trace_cat::kFetch, 150));
   EXPECT_TRUE(tracer.wants(trace_cat::kSteer, 150));
   EXPECT_FALSE(tracer.wants(trace_cat::kSteer, 99));
+}
+
+/// Every emitter once, with the inputs that need care: a typed name over
+/// 64 bytes with a quote, a lane name with a control character, a NaN
+/// steering error, a non-integral counter and an escaped args string.
+TEST(Tracer, EveryShapeRendersGoldenBytes) {
+  constexpr std::string_view kTypedName =
+      "dispatch_of_an_instruction_whose_typed_name_runs_past_64_bytes_\"q\"";
+  static_assert(kTypedName.size() > 64);
+  const FileGuard file("test_tracer_golden.json");
+  {
+    TraceConfig cfg;
+    cfg.enabled = true;
+    cfg.path = file.path;
+    cfg.pid = 3;
+    Tracer tracer(cfg);
+    tracer.ensure_lane(9, "lane\x01nine");
+    tracer.instant("note", trace_cat::kFault, 9, 4,
+                   TraceArgs()
+                       .str("msg", "say \"hi\"\\")
+                       .num("n", std::uint64_t{2}));
+    tracer.complete("span", trace_cat::kRecovery, 9, 5, 6);
+    tracer.counter("win.ipc", 8, 1.25);
+    tracer.instant_pc_id(kTypedName, trace_cat::kDispatch,
+                         trace_lane::kDispatch, 10, 64, 7);
+    tracer.complete_pc_id("mul", trace_lane::kExecuteBase + 1, 11, 3, 68, 8);
+    tracer.instant_fetch(12, 72, 4, true);
+    tracer.instant_steer(13, 2, std::nan(""), 5, 1, "hold");
+    tracer.skip_span(14, 20);
+  }
+  EXPECT_EQ(slurp(file.path), R"json({"traceEvents":[
+{"name":"thread_name","ph":"M","pid":3,"tid":9,"args":{"name":"lane\u0001nine"}},
+{"name":"thread_sort_index","ph":"M","pid":3,"tid":9,"args":{"sort_index":9}},
+{"name":"note","cat":"fault","ph":"i","s":"t","ts":4,"pid":3,"tid":9,"args":{"msg":"say \"hi\"\\","n":2}},
+{"name":"span","cat":"recovery","ph":"X","ts":5,"dur":6,"pid":3,"tid":9},
+{"name":"win.ipc","cat":"counter","ph":"C","ts":8,"pid":3,"args":{"value":1.25}},
+{"name":"dispatch_of_an_instruction_whose_typed_name_runs_past_64_bytes_\"q\"","cat":"dispatch","ph":"i","s":"t","ts":10,"pid":3,"tid":1,"args":{"pc":64,"id":7}},
+{"name":"mul","cat":"execute","ph":"X","ts":11,"dur":3,"pid":3,"tid":17,"args":{"pc":68,"id":8}},
+{"name":"fetch","cat":"fetch","ph":"i","s":"t","ts":12,"pid":3,"tid":0,"args":{"pc":72,"count":4,"from_trace":1}},
+{"name":"thread_name","ph":"M","pid":3,"tid":3,"args":{"name":"steer"}},
+{"name":"thread_sort_index","ph":"M","pid":3,"tid":3,"args":{"sort_index":3}},
+{"name":"steer","cat":"steer","ph":"i","s":"t","ts":13,"pid":3,"tid":3,"args":{"selection":2,"error":"nan","cost":5,"streak":1,"intent":"hold"}},
+{"name":"thread_name","ph":"M","pid":3,"tid":7,"args":{"name":"skip"}},
+{"name":"thread_sort_index","ph":"M","pid":3,"tid":7,"args":{"sort_index":7}},
+{"name":"skip","cat":"skip","ph":"X","ts":14,"dur":20,"pid":3,"tid":7,"args":{"cycles":20}}
+]}
+)json");
 }
 
 // --- Whole-machine tracing. ----------------------------------------------
@@ -304,6 +354,28 @@ TEST(Tracer, UnopenablePathDegradesToNullSink) {
   EXPECT_FALSE(in.good());
 }
 
+/// Parallel sweeps build tracers on several threads; the once-per-process
+/// null-sink warning must not race (run under -fsanitize=thread).
+TEST(Tracer, NullSinkWarningIsThreadSafe) {
+  TraceConfig cfg;
+  cfg.enabled = true;
+  cfg.path = "test_no_such_dir/nested/trace.json";
+  std::vector<std::thread> threads;
+  std::atomic<unsigned> null_sinks{0};
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      Tracer tracer(cfg);
+      if (tracer.null_sink()) {
+        ++null_sinks;
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(null_sinks.load(), 4u);
+}
+
 TEST(Tracing, NullSinkRunIsBitIdentical) {
   MachineConfig plain_cfg;
   MachineConfig dead_cfg;
@@ -362,7 +434,6 @@ TEST(Sampler, ConservationHoldsAcrossSkippedWindows) {
   const FileGuard trace_file("test_sampler_skip_conserve.json");
   MachineConfig cfg;
   cfg.sample.period = 97;
-  cfg.sample.counter_tracks = false;
   cfg.trace.enabled = true;
   cfg.trace.path = trace_file.path;
   auto cpu = make_processor(phased_program(), cfg,
@@ -624,7 +695,6 @@ TEST(Metrics, CsvRendersCountersAsIntegers) {
 TEST(Sampler, WindowDeltasSumToEndOfRunTotalsForEveryCounter) {
   MachineConfig cfg;
   cfg.sample.period = 64;
-  cfg.sample.counter_tracks = false;
   auto cpu = make_processor(phased_program(), cfg,
                             {.kind = PolicyKind::kSteered});
   cpu->run(100'000);

@@ -56,12 +56,6 @@ TEST(SteeredPolicy, IntervalThrottlesDecisions) {
   EXPECT_EQ(policy.stats().steer_events, 2u);  // cycles 0 and 4
 }
 
-TEST(SteeredPolicy, NameReflectsVariant) {
-  EXPECT_EQ(SteeredPolicy(kSet).name(), "steered");
-  EXPECT_EQ(SteeredPolicy(kSet, CemMode::kExactDivide).name(),
-            "steered-exact");
-}
-
 TEST(OraclePack, ProvisionsForDominantDemand) {
   // Demand: 5 IntAlu, 1 Lsu against single FFUs -> mostly ALUs.
   FuCounts required{};
@@ -105,7 +99,7 @@ TEST(OraclePack, ZeroFfuTypesGetAbsolutePriority) {
 }
 
 TEST(StaticPolicy, NeverTouchesLoader) {
-  StaticPolicy policy("static-test");
+  StaticPolicy policy;
   ConfigurationLoader loader(loader_params(), kSet.preset_allocation(1));
   const Opcode ops[] = {Opcode::kFadd, Opcode::kFmul, Opcode::kFsqrt};
   policy.steer(context(ops, kSet.preset_total(1)), loader);

@@ -337,7 +337,7 @@ TEST(Processor, OutOfOrderCompletionObservable) {
 void expect_rejected(const MachineConfig& cfg, const std::string& needle) {
   const Program p = assemble("  halt\n");
   try {
-    Processor cpu(p, cfg, std::make_unique<StaticPolicy>("test"));
+    Processor cpu(p, cfg, std::make_unique<StaticPolicy>());
     FAIL() << "expected std::invalid_argument mentioning '" << needle
            << "'";
   } catch (const std::invalid_argument& e) {
@@ -349,7 +349,7 @@ void expect_rejected(const MachineConfig& cfg, const std::string& needle) {
 TEST(ConfigValidation, DefaultConfigIsAccepted) {
   const Program p = assemble("  halt\n");
   EXPECT_NO_THROW(
-      Processor(p, MachineConfig{}, std::make_unique<StaticPolicy>("test")));
+      Processor(p, MachineConfig{}, std::make_unique<StaticPolicy>()));
 }
 
 TEST(ConfigValidation, RejectsSlotCountMismatchWithSteeringSet) {
