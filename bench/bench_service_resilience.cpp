@@ -8,14 +8,7 @@
 // must carry byte-identical simulated metrics to its clean twin — fault
 // injection may cost retries, never correctness. Writes
 // BENCH_service_resilience.json for CI trending.
-#include <cstdio>
-
-#ifdef _WIN32
-int main() {
-  std::printf("E20 service resilience: POSIX-only (Unix sockets); skipped\n");
-  return 0;
-}
-#else
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -23,8 +16,6 @@ int main() {
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 #include "bench_util.hpp"
 #include "common/contracts.hpp"
@@ -69,37 +60,10 @@ std::vector<Request> build_batch(std::uint64_t budget) {
   return batch;
 }
 
-/// SimService + SocketServer on a unique /tmp socket, serving on a
-/// background thread for the harness lifetime.
-class Harness {
- public:
-  explicit Harness(const ServiceConfig& config, const char* tag)
-      : service_(config) {
-    ServerOptions options;
-    options.socket_path = "/tmp/steersim-bench-" + std::string(tag) + "-" +
-                          std::to_string(static_cast<long>(::getpid())) +
-                          ".sock";
-    server_ = std::make_unique<SocketServer>(service_, options);
-    STEERSIM_EXPECTS(server_->listen());
-    serve_thread_ = std::jthread([this] { server_->serve(); });
-  }
-
-  ~Harness() {
-    server_->stop();
-    if (serve_thread_.joinable()) {
-      serve_thread_.join();
-    }
-    ::unlink(server_->socket_path().c_str());
-  }
-
-  SimService& service() { return service_; }
-  const std::string& path() const { return server_->socket_path(); }
-
- private:
-  SimService service_;
-  std::unique_ptr<SocketServer> server_;
-  std::jthread serve_thread_;
-};
+std::string socket_path(const char* tag) {
+  return "/tmp/steersim-bench-" + std::string(tag) + "-" +
+         std::to_string(static_cast<long>(::getpid())) + ".sock";
+}
 
 struct PhaseResult {
   std::vector<Reply> replies;
@@ -160,9 +124,11 @@ int main() {
   PhaseResult clean;
   ServiceStats clean_stats;
   {
-    Harness harness(service_config, "clean");
-    clean = drive(harness.path(), batch, {});
-    clean_stats = harness.service().stats();
+    SimService service(service_config);
+    SocketServer server(service, {.socket_path = socket_path("clean")});
+    STEERSIM_EXPECTS(server.start());
+    clean = drive(server.socket_path(), batch, {});
+    clean_stats = service.stats();
   }
   for (const Reply& reply : clean.replies) {
     STEERSIM_EXPECTS(reply.type == ReplyType::kResult);
@@ -184,14 +150,16 @@ int main() {
   std::string injections;
   std::uint64_t injected = 0;
   {
-    Harness harness(service_config, "chaos");
+    SimService service(service_config);
+    SocketServer server(service, {.socket_path = socket_path("chaos")});
+    STEERSIM_EXPECTS(server.start());
     ClientOptions resilient;
     resilient.read_timeout_ms = 5'000;
     resilient.max_attempts = 64;
     resilient.backoff_base_ms = 1;
     resilient.backoff_cap_ms = 16;
-    chaos = drive(harness.path(), batch, resilient);
-    chaos_stats = harness.service().stats();
+    chaos = drive(server.socket_path(), batch, resilient);
+    chaos_stats = service.stats();
     const std::shared_ptr<ChaosInjector> injector = ChaosInjector::global();
     STEERSIM_EXPECTS(injector != nullptr);
     injections = injector->summary();
@@ -277,5 +245,3 @@ int main() {
       static_cast<unsigned long long>(chaos.client.reconnects));
   return 0;
 }
-
-#endif  // _WIN32

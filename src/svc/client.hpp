@@ -25,13 +25,15 @@
 // When every attempt is exhausted the caller gets a synthesized error
 // reply with code `transport` — a code the server itself never sends.
 //
-// POSIX only, like svc/server.hpp; on _WIN32 every call fails cleanly.
+// Frames travel through svc/line_socket.hpp, the transport the server
+// uses too. POSIX only, like svc/server.hpp.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "common/rng.hpp"
+#include "svc/line_socket.hpp"
 #include "svc/protocol.hpp"
 
 namespace steersim::svc {
@@ -85,7 +87,7 @@ class SteersimClient {
 
   /// Drops the connection (next call reconnects). Idempotent.
   void close();
-  bool connected() const { return fd_ >= 0; }
+  bool connected() const { return socket_.is_open(); }
 
   const ClientStats& stats() const { return stats_; }
   const ClientOptions& options() const { return options_; }
@@ -98,17 +100,12 @@ class SteersimClient {
                                         Xoshiro256& rng);
 
  private:
-  bool ensure_connected(std::string& error);
-  bool send_line(const std::string& line, std::string& error);
-  bool read_line(std::string& line, std::string& error);
-
   ClientOptions options_;
   Xoshiro256 rng_;
   ClientStats stats_;
-  int fd_ = -1;
-  /// Bytes read past the last consumed frame; cleared on (re)connect so
-  /// a stale half-frame can never prefix a fresh reply.
-  std::string inbuf_;
+  /// Closed on every transport failure, which drops its buffered bytes:
+  /// a stale half-frame can never prefix the reply on a new connection.
+  LineSocket socket_;
 };
 
 }  // namespace steersim::svc

@@ -1,7 +1,6 @@
 #include "svc/protocol.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/strings.hpp"
 #include "sim/json.hpp"
@@ -411,13 +410,6 @@ Reply Reply::error(std::string id, std::string_view code, std::string message,
   reply.message = std::move(message);
   reply.retriable = retriable;
   return reply;
-}
-
-std::string Fnv1a::hex() const {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(hash_));
-  return buf;
 }
 
 }  // namespace steersim::svc

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#if !defined(_WIN32)
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -14,40 +12,19 @@
 #include <csignal>
 #include <cstring>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "svc/chaos.hpp"
-#endif
+#include "svc/line_socket.hpp"
 
 namespace steersim::svc {
 
-#if defined(_WIN32)
-
-struct SocketServer::Connection {};
-struct SocketServer::State {};
-
-SocketServer::SocketServer(SimService& service, ServerOptions options)
-    : service_(service), options_(std::move(options)) {}
-SocketServer::~SocketServer() = default;
-bool SocketServer::listen() {
-  std::fprintf(stderr, "steersimd: Unix domain sockets unavailable on this "
-                       "platform\n");
-  return false;
-}
-bool SocketServer::serve() { return listen(); }
-void SocketServer::stop() {}
-void SocketServer::handle_connection(Connection&) {}
-void SocketServer::reap_finished() {}
-
-#else
-
-/// One accepted client. `fd` lives under State::mutex (set to -1 when the
-/// handler closes it, so stop() can never shutdown() a recycled
-/// descriptor number); `done` tells the reaper the thread is joinable
-/// without blocking.
+/// One accepted client. `socket` is closed under State::mutex, so stop()
+/// can never shutdown() a recycled descriptor number; `done` tells the
+/// reaper the thread is joinable without blocking.
 struct SocketServer::Connection {
-  int fd = -1;
+  explicit Connection(int fd) : socket(fd) {}
+  LineSocket socket;
   std::atomic<bool> done{false};
   std::jthread thread;
 };
@@ -60,34 +37,12 @@ struct SocketServer::State {
 
 namespace {
 
-/// write() the whole buffer, tolerating short writes; false on error
-/// (EPIPE when the client went away — the connection just closes; the
-/// daemon also ignores SIGPIPE and sends with MSG_NOSIGNAL, so a dying
-/// client can never signal-kill the process).
-bool write_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-#if defined(MSG_NOSIGNAL)
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-#else
-    const ssize_t n = ::write(fd, data.data(), data.size());
-#endif
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
 /// Renders and writes one reply frame, applying chaos frame faults when
 /// an injector is installed. Returns false when the connection should
-/// close (write error, or an injected drop/truncate). Goodbye frames are
-/// exempt from chaos so a chaos-storm run can always shut the daemon
-/// down cleanly.
-bool send_frame(int fd, const Reply& reply) {
+/// close (write error — e.g. EPIPE when the client went away — or an
+/// injected drop/truncate). Goodbye frames are exempt from chaos so a
+/// chaos-storm run can always shut the daemon down cleanly.
+bool send_frame(LineSocket& socket, const Reply& reply) {
   std::string frame = reply.to_json() + "\n";
   if (reply.type != ReplyType::kGoodbye) {
     if (auto chaos = ChaosInjector::global()) {
@@ -99,13 +54,14 @@ bool send_frame(int fd, const Reply& reply) {
             std::chrono::milliseconds(chaos->spec().delay_ms));
       }
       if (chaos->roll(ChaosSite::kFrameTruncate)) {
-        write_all(fd, std::string_view(frame).substr(0, frame.size() / 2));
+        socket.write_all(
+            std::string_view(frame).substr(0, frame.size() / 2));
         return false;
       }
       chaos->corrupt(frame);
     }
   }
-  return write_all(fd, frame);
+  return socket.write_all(frame);
 }
 
 }  // namespace
@@ -117,6 +73,9 @@ SocketServer::SocketServer(SimService& service, ServerOptions options)
 
 SocketServer::~SocketServer() {
   stop();
+  if (serve_thread_.joinable()) {
+    serve_thread_.join();
+  }
   reap_finished();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -133,7 +92,7 @@ bool SocketServer::listen() {
   }
   // A client that disconnects while a reply is in flight must cost at
   // most one failed write, never a process-killing SIGPIPE (belt:
-  // MSG_NOSIGNAL in write_all is the suspenders).
+  // MSG_NOSIGNAL in LineSocket::write_all is the suspenders).
   std::signal(SIGPIPE, SIG_IGN);
   if (options_.socket_path.empty()) {
     std::fprintf(stderr, "steersimd: empty socket path\n");
@@ -172,9 +131,6 @@ bool SocketServer::listen() {
 }
 
 void SocketServer::stop() {
-  if (state_ == nullptr) {
-    return;
-  }
   std::lock_guard<std::mutex> lock(state_->mutex);
   state_->stopping = true;
   if (listen_fd_ >= 0) {
@@ -183,16 +139,11 @@ void SocketServer::stop() {
     ::shutdown(listen_fd_, SHUT_RDWR);
   }
   for (const auto& conn : state_->connections) {
-    if (conn->fd >= 0) {
-      ::shutdown(conn->fd, SHUT_RDWR);  // unblocks poll/read; thread exits
-    }
+    conn->socket.shutdown();  // unblocks poll/read; the thread exits
   }
 }
 
 void SocketServer::reap_finished() {
-  if (state_ == nullptr) {
-    return;
-  }
   std::vector<std::unique_ptr<Connection>> finished;
   {
     std::lock_guard<std::mutex> lock(state_->mutex);
@@ -210,86 +161,62 @@ void SocketServer::reap_finished() {
 }
 
 void SocketServer::handle_connection(Connection& conn) {
-  const int fd = conn.fd;
-  std::string buffer;
-  char chunk[4096];
-  bool goodbye = false;
-  while (!goodbye) {
-    if (options_.idle_timeout_ms > 0) {
-      pollfd pfd{};
-      pfd.fd = fd;
-      pfd.events = POLLIN;
-      const int ready =
-          ::poll(&pfd, 1, static_cast<int>(options_.idle_timeout_ms));
-      if (ready < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        break;
-      }
-      if (ready == 0) {
-        // Slowloris guard: the peer owes us (the rest of) a frame and
-        // has gone quiet; tell it why it is being cut off, then close.
-        send_frame(fd, Reply::error(
-                           "", error_code::kTimeout,
-                           "no frame for " +
-                               std::to_string(options_.idle_timeout_ms) +
-                               " ms; closing idle connection",
-                           /*retriable=*/true));
-        break;
-      }
-    }
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      break;  // client closed (or stop() shut the fd down)
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    if (buffer.size() > options_.max_frame_bytes &&
-        buffer.find('\n') == std::string::npos) {
-      send_frame(fd, Reply::error("", error_code::kBadRequest,
-                                  "frame exceeds " +
-                                      std::to_string(
-                                          options_.max_frame_bytes) +
-                                      " bytes"));
+  const auto frame_deadline = [this] {
+    return options_.idle_timeout_ms == 0
+               ? LineSocket::Clock::time_point::max()
+               : LineSocket::deadline_in(options_.idle_timeout_ms);
+  };
+  // The slowloris clock runs per frame, not per chunk: it starts when the
+  // server begins waiting for a frame, so trickled bytes cannot extend it.
+  auto deadline = frame_deadline();
+  std::string line;
+  while (true) {
+    const LineSocket::Read read =
+        conn.socket.read_line(deadline, options_.max_frame_bytes, line);
+    if (read == LineSocket::Read::kTimeout) {
+      // The peer owes us (the rest of) a frame and has not delivered it
+      // in time; tell it why it is being cut off, then close.
+      send_frame(conn.socket,
+                 Reply::error("", error_code::kTimeout,
+                              "no complete frame within " +
+                                  std::to_string(options_.idle_timeout_ms) +
+                                  " ms; closing connection",
+                              /*retriable=*/true));
       break;
     }
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t newline = buffer.find('\n', start);
-      if (newline == std::string::npos) {
-        break;
-      }
-      const std::string_view line(buffer.data() + start, newline - start);
-      start = newline + 1;
-      if (line.empty()) {
-        continue;
-      }
-      Request request;
-      std::string parse_error;
-      Reply reply;
-      if (Request::parse(line, request, parse_error)) {
-        reply = service_.handle(request);
-      } else {
-        reply = Reply::error("", error_code::kBadRequest, parse_error);
-      }
-      if (!send_frame(fd, reply)) {
-        goodbye = true;  // client went away mid-reply (or chaos cut it)
-        break;
-      }
-      if (reply.type == ReplyType::kGoodbye) {
-        stop();
-        goodbye = true;
-        break;
-      }
+    if (read == LineSocket::Read::kTooLong) {
+      send_frame(conn.socket,
+                 Reply::error("", error_code::kBadRequest,
+                              "frame exceeds " +
+                                  std::to_string(options_.max_frame_bytes) +
+                                  " bytes"));
+      break;
     }
-    buffer.erase(0, start);
+    if (read != LineSocket::Read::kLine) {
+      break;  // client closed (or stop() shut the socket down)
+    }
+    if (line.empty()) {
+      continue;
+    }
+    Request request;
+    std::string parse_error;
+    Reply reply;
+    if (Request::parse(line, request, parse_error)) {
+      reply = service_.handle(request);
+    } else {
+      reply = Reply::error("", error_code::kBadRequest, parse_error);
+    }
+    if (!send_frame(conn.socket, reply)) {
+      break;  // client went away mid-reply (or chaos cut it)
+    }
+    if (reply.type == ReplyType::kGoodbye) {
+      stop();
+      break;
+    }
+    deadline = frame_deadline();
   }
   std::lock_guard<std::mutex> lock(state_->mutex);
-  ::close(fd);
-  conn.fd = -1;
+  conn.socket.close();
   conn.done.store(true, std::memory_order_release);
 }
 
@@ -315,24 +242,13 @@ bool SocketServer::serve() {
         std::perror("steersimd: accept");
         break;
       }
-      auto conn = std::make_unique<Connection>();
-      conn->fd = fd;
-      Connection* raw = conn.get();
-      state_->connections.push_back(std::move(conn));
-      raw->thread =
-          std::jthread([this, raw] { handle_connection(*raw); });
+      Connection* conn =
+          state_->connections.emplace_back(std::make_unique<Connection>(fd))
+              .get();
+      conn->thread = std::jthread([this, conn] { handle_connection(*conn); });
     }
   }
-  {
-    // Unblock any connection still reading, then join them all.
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    state_->stopping = true;
-    for (const auto& conn : state_->connections) {
-      if (conn->fd >= 0) {
-        ::shutdown(conn->fd, SHUT_RDWR);
-      }
-    }
-  }
+  stop();  // unblock any connection still reading (accept may have failed)
   std::vector<std::unique_ptr<Connection>> connections;
   {
     std::lock_guard<std::mutex> lock(state_->mutex);
@@ -344,6 +260,12 @@ bool SocketServer::serve() {
   return true;
 }
 
-#endif  // !defined(_WIN32)
+bool SocketServer::start() {
+  if (!listen()) {
+    return false;
+  }
+  serve_thread_ = std::jthread([this] { serve(); });
+  return true;
+}
 
 }  // namespace steersim::svc

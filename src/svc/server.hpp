@@ -1,10 +1,9 @@
 // JSON-lines-over-Unix-domain-socket front end for SimService
-// (docs/SERVICE.md). POSIX only; on other platforms listen() fails with a
-// message (the service core itself is portable and in-process callers are
-// unaffected).
+// (docs/SERVICE.md). POSIX only.
 //
 // One accept loop, one thread per connection: each '\n'-terminated frame
-// is parsed with the strict json.hpp entry point, dispatched through
+// (read through svc/line_socket.hpp, the one framing implementation) is
+// parsed with the strict json.hpp entry point, dispatched through
 // SimService::handle (submits block that connection's thread — admission
 // control lives in the bounded job queue, not the socket layer), and
 // answered with one reply line. A shutdown request answers `goodbye`,
@@ -14,6 +13,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "svc/service.hpp"
 
@@ -24,15 +24,19 @@ struct ServerOptions {
   /// Frames longer than this without a newline poison the connection
   /// (error reply, then close) instead of growing without bound.
   std::size_t max_frame_bytes = 1 << 20;
-  /// Slowloris guard: a connection that stays silent this long (e.g. a
-  /// partial frame, then nothing) is answered with a retriable `timeout`
-  /// error and closed, so it cannot pin its thread forever. 0 disables.
+  /// Slowloris guard: each whole frame must arrive within this long of
+  /// the server starting to wait for it (at accept, or after the previous
+  /// reply was sent). A connection that misses it — silent, or trickling
+  /// a partial frame a byte at a time — is answered with a retriable
+  /// `timeout` error and closed, so it cannot pin its thread. 0 disables.
   std::uint64_t idle_timeout_ms = 30'000;
 };
 
 class SocketServer {
  public:
   SocketServer(SimService& service, ServerOptions options);
+  /// Stops the server, joins the thread start() began, and unlinks the
+  /// socket file.
   ~SocketServer();
 
   SocketServer(const SocketServer&) = delete;
@@ -46,6 +50,10 @@ class SocketServer {
   /// connection thread has exited and the service has drained. Calls
   /// listen() if it has not been called yet.
   bool serve();
+
+  /// listen(), then serve() on a thread this server owns (the destructor
+  /// stops and joins it). False when listen() fails.
+  bool start();
 
   /// Thread-safe: ends the accept loop and unblocks open connections.
   void stop();
@@ -65,6 +73,7 @@ class SocketServer {
   /// Open connections, guarded by impl-side mutex (see server.cpp).
   struct State;
   std::unique_ptr<State> state_;
+  std::jthread serve_thread_;
 };
 
 }  // namespace steersim::svc

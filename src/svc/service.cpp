@@ -10,6 +10,7 @@
 #include <utility>
 #include <variant>
 
+#include "common/fnv1a.hpp"
 #include "common/strings.hpp"
 #include "frontend/elf_loader.hpp"
 #include "isa/assembler.hpp"

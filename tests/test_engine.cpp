@@ -3,8 +3,12 @@
 // the loader, cancellation, and utilization accounting.
 #include <gtest/gtest.h>
 
-#include "core/execution_engine.hpp"
+#include <set>
+
+#include "common/rng.hpp"
+#include "config/encoding.hpp"
 #include "config/steering_set.hpp"
+#include "core/execution_engine.hpp"
 
 namespace steersim {
 namespace {
@@ -190,6 +194,81 @@ TEST(Engine, IncompleteRegionIsNotAUnit) {
   engine.begin_cycle(alloc);
   EXPECT_EQ(engine.units().size(), 0u);
   EXPECT_FALSE(engine.assign(FuType::kFpAlu, 1, 0));
+}
+
+// issue_view() is what the processor calls each cycle; availability() and
+// free_units() are what the tests above check. Seeded random walks over
+// FFU counts, fabric codes (truncated and undefined heads included) and
+// assign/cancel/step sequences must see the same answer from both.
+TEST(Engine, IssueViewMatchesAvailabilityAndFreeUnits) {
+  constexpr std::uint8_t kCodes[] = {kEncEmpty,  kEncIntAlu, kEncIntMdu,
+                                     kEncLsu,    kEncFpAlu,  kEncFpMdu,
+                                     0b110,      kEncContinuation};
+  Xoshiro256 rng(20260);
+  std::uint64_t states = 0;
+  for (int engine_index = 0; engine_index < 200; ++engine_index) {
+    FuCounts ffu{};
+    for (auto& count : ffu) {
+      count = static_cast<std::uint8_t>(rng.next_below(4));
+    }
+    const bool pipelined = engine_index % 2 == 1;
+    const auto slots = static_cast<unsigned>(1 + rng.next_below(kMaxRfuSlots));
+    ExecutionEngine engine(ffu, pipelined);
+    AllocationVector alloc(slots);
+    std::set<unsigned> rows_in_flight;
+
+    const auto check = [&](int cycle) {
+      const auto view = engine.issue_view();
+      EXPECT_EQ(view.available, engine.availability(alloc))
+          << "engine " << engine_index << " cycle " << cycle;
+      EXPECT_EQ(view.free, engine.free_units())
+          << "engine " << engine_index << " cycle " << cycle;
+      ++states;
+    };
+
+    for (int cycle = 0; cycle < 100; ++cycle) {
+      if (rng.next_bool(0.3)) {
+        // Rewrite the fabric, keeping the slots of busy units as the
+        // loader does (it never rewrites a slot mid-operation).
+        const SlotMask busy = engine.slot_busy();
+        AllocationVector next(slots);
+        for (unsigned slot = 0; slot < slots; ++slot) {
+          next.set_code(slot, busy.test(slot)
+                                  ? alloc.code(slot)
+                                  : kCodes[rng.next_below(std::size(kCodes))]);
+        }
+        alloc = next;
+      }
+      engine.begin_cycle(alloc);
+      check(cycle);
+      const std::uint64_t tries = rng.next_below(4);
+      for (std::uint64_t t = 0; t < tries; ++t) {
+        if (rows_in_flight.size() >= kMaxWakeupEntries) {
+          break;
+        }
+        unsigned row = 0;
+        while (rows_in_flight.contains(row)) {
+          ++row;
+        }
+        const auto type = static_cast<FuType>(rng.next_below(kNumFuTypes));
+        const auto latency = static_cast<unsigned>(1 + rng.next_below(12));
+        if (engine.assign(type, latency, row)) {
+          rows_in_flight.insert(row);
+        }
+        check(cycle);
+      }
+      if (!rows_in_flight.empty() && rng.next_bool(0.1)) {
+        const unsigned row = *rows_in_flight.begin();
+        engine.cancel(row);
+        rows_in_flight.erase(row);
+        check(cycle);
+      }
+      for (const unsigned row : engine.step()) {
+        rows_in_flight.erase(row);
+      }
+    }
+  }
+  EXPECT_GT(states, 20'000u);
 }
 
 }  // namespace

@@ -1,16 +1,17 @@
-// Resilience-surface tests (docs/SERVICE.md §Failure modes): the idle-read
+// Resilience-surface tests (docs/SERVICE.md §Failure modes): the per-frame
 // (slowloris) timeout, SIGPIPE immunity when a client vanishes before its
 // reply, SteersimClient's reconnect/retry/backoff discipline — including
 // recovery through injected frame chaos — and the full-jitter backoff math.
 //
 // The socket tests drive a real SocketServer over a Unix domain socket in
-// /tmp; they are POSIX-only, like the server itself.
+// /tmp, speaking to it raw through the same LineSocket transport the
+// server and client use.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -19,16 +20,10 @@
 #include "common/rng.hpp"
 #include "svc/chaos.hpp"
 #include "svc/client.hpp"
+#include "svc/line_socket.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/service.hpp"
-
-#ifndef _WIN32
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#endif
 
 namespace steersim::svc {
 namespace {
@@ -84,10 +79,11 @@ TEST(Client, AbsentDaemonYieldsASynthesizedTransportError) {
   EXPECT_FALSE(client.connected());
 }
 
-#ifndef _WIN32
-
 // ---------------------------------------------------------------------------
-// Socket-level harness: a real SimService + SocketServer on a /tmp socket.
+// Socket-level tests: a real SimService + SocketServer on a /tmp socket.
+
+using Read = LineSocket::Read;
+constexpr auto kNoLimit = std::string::npos;
 
 std::string unique_socket_path(const char* tag) {
   static std::atomic<int> counter{0};
@@ -96,97 +92,21 @@ std::string unique_socket_path(const char* tag) {
          std::to_string(counter.fetch_add(1)) + ".sock";
 }
 
-class ServerHarness {
- public:
-  ServerHarness(const ServiceConfig& config, ServerOptions options,
-                const char* tag)
-      : service_(config) {
-    options.socket_path = unique_socket_path(tag);
-    server_ = std::make_unique<SocketServer>(service_, options);
-    listening_ = server_->listen();
-    EXPECT_TRUE(listening_);
-    if (listening_) {
-      serve_thread_ = std::jthread([this] { server_->serve(); });
-    }
-  }
-
-  ~ServerHarness() {
-    server_->stop();
-    if (serve_thread_.joinable()) {
-      serve_thread_.join();
-    }
-    ::unlink(server_->socket_path().c_str());
-  }
-
-  SimService& service() { return service_; }
-  const std::string& path() const { return server_->socket_path(); }
-
- private:
-  SimService service_;
-  std::unique_ptr<SocketServer> server_;
-  bool listening_ = false;
-  std::jthread serve_thread_;
-};
-
-int raw_connect(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return -1;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-bool raw_send(int fd, const std::string& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-#ifdef MSG_NOSIGNAL
-    const auto n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                          MSG_NOSIGNAL);
-#else
-    const auto n = ::send(fd, bytes.data() + sent, bytes.size() - sent, 0);
-#endif
-    if (n <= 0) {
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Reads until EOF or `deadline_ms`; returns everything received.
-std::string raw_read_until_eof(int fd, int deadline_ms) {
-  std::string out;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(deadline_ms);
-  char buffer[4096];
-  for (;;) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      break;
-    }
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
-    if (ready <= 0) {
-      break;
-    }
-    const auto n = ::read(fd, buffer, sizeof(buffer));
-    if (n <= 0) {
-      break;  // EOF (or error): the server closed its side
-    }
-    out.append(buffer, static_cast<std::size_t>(n));
-  }
-  return out;
+/// The slowloris verdict, given the first read after the client stalled:
+/// one typed retriable `timeout` error frame, then the server closes.
+void expect_timed_out(LineSocket& socket, Read first,
+                      const std::string& line) {
+  ASSERT_EQ(first, Read::kLine) << "expected one error frame";
+  Reply reply;
+  std::string error;
+  ASSERT_TRUE(Reply::parse(line, reply, error)) << error;
+  ASSERT_EQ(reply.type, ReplyType::kError);
+  EXPECT_EQ(reply.code, error_code::kTimeout);
+  EXPECT_TRUE(reply.retriable) << "an idle cut invites a clean retry";
+  std::string rest;
+  EXPECT_EQ(socket.read_line(LineSocket::deadline_in(5000), kNoLimit, rest),
+            Read::kClosed)
+      << "nothing after the error frame: the connection is closed";
 }
 
 Request submit_fib(std::uint64_t seed, std::string id = "") {
@@ -203,26 +123,44 @@ Request submit_fib(std::uint64_t seed, std::string id = "") {
 // gets a typed retriable `timeout` error, then the server closes it.
 
 TEST(Resilience, IdleConnectionIsTimedOutWithATypedError) {
-  ServerHarness harness({.workers = 1, .queue_capacity = 4},
-                        {.idle_timeout_ms = 100}, "idle");
-  const int fd = raw_connect(harness.path());
-  ASSERT_GE(fd, 0);
-  ASSERT_TRUE(raw_send(fd, R"({"type":"ping")"));  // half a frame, no '\n'
+  SimService service({.workers = 1, .queue_capacity = 4});
+  SocketServer server(service, {.socket_path = unique_socket_path("idle"),
+                                .idle_timeout_ms = 100});
+  ASSERT_TRUE(server.start());
+  LineSocket client;
+  ASSERT_TRUE(client.connect(server.socket_path(), 1000)) << client.error();
+  ASSERT_TRUE(client.write_all(R"({"type":"ping")"));  // half a frame
 
-  const std::string received = raw_read_until_eof(fd, 5000);
-  ::close(fd);
-  const std::size_t newline = received.find('\n');
-  ASSERT_NE(newline, std::string::npos)
-      << "expected one error frame, got: " << received;
-  Reply reply;
-  std::string error;
-  ASSERT_TRUE(Reply::parse(received.substr(0, newline), reply, error))
-      << error;
-  ASSERT_EQ(reply.type, ReplyType::kError);
-  EXPECT_EQ(reply.code, error_code::kTimeout);
-  EXPECT_TRUE(reply.retriable) << "an idle cut invites a clean retry";
-  EXPECT_EQ(received.substr(newline + 1), "")
-      << "nothing after the error frame: the connection is closed";
+  std::string line;
+  const Read read =
+      client.read_line(LineSocket::deadline_in(5000), kNoLimit, line);
+  expect_timed_out(client, read, line);
+}
+
+// The timeout bounds the whole frame, not the gap between chunks: a
+// client trickling a partial frame at half the timeout per byte is cut
+// off just as a silent one is.
+TEST(Resilience, TricklingClientIsTimedOut) {
+  SimService service({.workers = 1, .queue_capacity = 4});
+  SocketServer server(service, {.socket_path = unique_socket_path("trickle"),
+                                .idle_timeout_ms = 200});
+  ASSERT_TRUE(server.start());
+  LineSocket client;
+  ASSERT_TRUE(client.connect(server.socket_path(), 1000)) << client.error();
+
+  // 40 bytes at 100 ms each: 4 s of trickle against a 200 ms budget.
+  const std::string partial = R"({"type":"ping","id":"trickle-trickle-tri)";
+  std::string line;
+  Read read = Read::kTimeout;
+  for (const char byte : partial) {
+    // Fails harmlessly once the server has replied and closed.
+    client.write_all(std::string(1, byte));
+    read = client.read_line(LineSocket::deadline_in(100), kNoLimit, line);
+    if (read != Read::kTimeout) {
+      break;
+    }
+  }
+  expect_timed_out(client, read, line);
 }
 
 // ---------------------------------------------------------------------------
@@ -230,22 +168,23 @@ TEST(Resilience, IdleConnectionIsTimedOutWithATypedError) {
 // reading its reply must cost the daemon one EPIPE, not the process.
 
 TEST(Resilience, ServerSurvivesAClientThatVanishesBeforeItsReply) {
-  ServerHarness harness({.workers = 1, .queue_capacity = 4}, {}, "vanish");
-  const int fd = raw_connect(harness.path());
-  ASSERT_GE(fd, 0);
-  ASSERT_TRUE(raw_send(fd, submit_fib(1, "doomed").to_json() + "\n"));
-  ::close(fd);  // gone before the reply: the server's write hits EPIPE
+  SimService service({.workers = 1, .queue_capacity = 4});
+  SocketServer server(service, {.socket_path = unique_socket_path("vanish")});
+  ASSERT_TRUE(server.start());
+  LineSocket doomed;
+  ASSERT_TRUE(doomed.connect(server.socket_path(), 1000)) << doomed.error();
+  ASSERT_TRUE(doomed.write_all(submit_fib(1, "doomed").to_json() + "\n"));
+  doomed.close();  // gone before the reply: the server's write hits EPIPE
 
   // Wait for the submit to have been processed, then prove the daemon is
   // still answering.
-  for (int i = 0; i < 2000 && harness.service().stats().submitted == 0;
-       ++i) {
+  for (int i = 0; i < 2000 && service.stats().submitted == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(harness.service().stats().submitted, 1u);
+  EXPECT_EQ(service.stats().submitted, 1u);
 
   ClientOptions options;
-  options.socket_path = harness.path();
+  options.socket_path = server.socket_path();
   SteersimClient client(options);
   Request ping;
   ping.type = RequestType::kPing;
@@ -266,9 +205,11 @@ TEST(Resilience, ClientRetriesThroughFrameChaosToEventualSuccess) {
   ChaosInjector::install(std::make_unique<ChaosInjector>(spec));
 
   {
-    ServerHarness harness({.workers = 2, .queue_capacity = 8}, {}, "chaos");
+    SimService service({.workers = 2, .queue_capacity = 8});
+    SocketServer server(service, {.socket_path = unique_socket_path("chaos")});
+    ASSERT_TRUE(server.start());
     ClientOptions options;
-    options.socket_path = harness.path();
+    options.socket_path = server.socket_path();
     options.read_timeout_ms = 2000;
     options.max_attempts = 64;
     options.backoff_base_ms = 1;
@@ -292,7 +233,7 @@ TEST(Resilience, ClientRetriesThroughFrameChaosToEventualSuccess) {
         << "dropped frames close the connection: reconnects follow";
     EXPECT_GT(stats.attempts, 6u);
   }
-  // The harness (and its connection threads) are down: safe to retire the
+  // The server (and its connection threads) are down: safe to retire the
   // injector.
   ChaosInjector::install(nullptr);
 }
@@ -301,14 +242,16 @@ TEST(Resilience, ClientRetriesThroughFrameChaosToEventualSuccess) {
 // Retriable error replies retry on the live connection (no reconnect).
 
 TEST(Resilience, RetriableErrorRepliesRetryWithoutReconnecting) {
-  ServerHarness harness({.workers = 1,
-                         .queue_capacity = 4,
-                         .cancel_check_cycles = 512,
-                         .watchdog_poll_ms = 5,
-                         .watchdog_grace_ms = 10'000},
-                        {}, "retriable");
+  SimService service({.workers = 1,
+                      .queue_capacity = 4,
+                      .cancel_check_cycles = 512,
+                      .watchdog_poll_ms = 5,
+                      .watchdog_grace_ms = 10'000});
+  SocketServer server(service,
+                      {.socket_path = unique_socket_path("retriable")});
+  ASSERT_TRUE(server.start());
   ClientOptions options;
-  options.socket_path = harness.path();
+  options.socket_path = server.socket_path();
   options.max_attempts = 2;
   options.backoff_base_ms = 0;
   SteersimClient client(options);
@@ -329,10 +272,8 @@ TEST(Resilience, RetriableErrorRepliesRetryWithoutReconnecting) {
   EXPECT_EQ(stats.attempts, 2u);
   EXPECT_EQ(stats.reconnects, 0u)
       << "error replies are healthy transport: keep the connection";
-  EXPECT_EQ(harness.service().stats().wall_deadline_exceeded, 2u);
+  EXPECT_EQ(service.stats().wall_deadline_exceeded, 2u);
 }
-
-#endif  // !_WIN32
 
 }  // namespace
 }  // namespace steersim::svc

@@ -20,6 +20,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "sim/json.hpp"
 #include "svc/cache.hpp"
 #include "svc/chaos.hpp"

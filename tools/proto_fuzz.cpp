@@ -18,6 +18,8 @@
 // seed and mutant bytes printed for replay.
 //
 // Exit codes: 0 all mutants handled, 1 hang/crash detected, 2 usage.
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -25,20 +27,10 @@
 
 #include "common/rng.hpp"
 #include "common/strings.hpp"
+#include "svc/line_socket.hpp"
 #include "svc/protocol.hpp"
-
-#if !defined(_WIN32)
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <thread>
-
 #include "svc/server.hpp"
 #include "svc/service.hpp"
-#endif
 
 using namespace steersim;
 using namespace steersim::svc;
@@ -180,100 +172,27 @@ std::string mutate(const std::vector<std::string>& corpus, Xoshiro256& rng) {
   return frame;
 }
 
-}  // namespace
-
-#if defined(_WIN32)
-
-int main(int, char**) {
-  std::fprintf(stderr,
-               "proto_fuzz: Unix domain sockets unavailable; skipping\n");
-  return 0;
-}
-
-#else
-
-namespace {
-
-int connect_to(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return -1;
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return -1;
-  }
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-bool send_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-#if defined(MSG_NOSIGNAL)
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-#else
-    const ssize_t n = ::write(fd, data.data(), data.size());
-#endif
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
 enum class Outcome { kSurvived, kDropped, kHang };
 
 /// Reads replies until the chaser pong (or EOF / the deadline). The pong
 /// id is matched as a substring of any reply line, which is robust even
 /// if earlier mutant-triggered replies interleave.
-Outcome await_pong(int fd, const std::string& pong_id, int deadline_ms) {
-  std::string buffer;
-  char chunk[4096];
+Outcome await_pong(LineSocket& socket, const std::string& pong_id,
+                   std::uint64_t deadline_ms) {
+  const auto deadline = LineSocket::deadline_in(deadline_ms);
+  std::string line;
   while (true) {
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t newline = buffer.find('\n', start);
-      if (newline == std::string::npos) {
+    switch (socket.read_line(deadline, std::string::npos, line)) {
+      case LineSocket::Read::kLine:
+        if (line.find(pong_id) != std::string::npos) {
+          return Outcome::kSurvived;
+        }
         break;
-      }
-      const std::string_view line(buffer.data() + start, newline - start);
-      if (line.find(pong_id) != std::string_view::npos) {
-        return Outcome::kSurvived;
-      }
-      start = newline + 1;
+      case LineSocket::Read::kTimeout:
+        return Outcome::kHang;
+      default:
+        return Outcome::kDropped;  // clean close is an acceptable answer
     }
-    buffer.erase(0, start);
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, deadline_ms);
-    if (ready < 0 && errno == EINTR) {
-      continue;
-    }
-    if (ready == 0) {
-      return Outcome::kHang;
-    }
-    if (ready < 0) {
-      return Outcome::kDropped;
-    }
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      return Outcome::kDropped;  // clean close is an acceptable answer
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
   }
 }
 
@@ -338,24 +257,24 @@ int main(int argc, char** argv) {
   server_options.socket_path = socket_path;
   server_options.idle_timeout_ms = 2'000;
   SocketServer server(service, server_options);
-  if (!server.listen()) {
+  if (!server.start()) {
     return 1;
   }
-  std::jthread serve_thread([&server] { server.serve(); });
 
   const std::vector<std::string> corpus = build_corpus();
   Xoshiro256 rng(seed);
   std::uint64_t survived = 0;
   std::uint64_t dropped = 0;
-  constexpr int kDeadlineMs = 5'000;
+  constexpr std::uint64_t kDeadlineMs = 5'000;
 
+  LineSocket socket;
   for (std::uint64_t i = 0; i < frames; ++i) {
-    const int fd = connect_to(socket_path);
-    if (fd < 0) {
+    if (!socket.connect(socket_path, kDeadlineMs)) {
       std::fprintf(stderr,
-                   "proto_fuzz: FAIL at iteration %llu: cannot connect "
-                   "(server died?)\n",
-                   static_cast<unsigned long long>(i));
+                   "proto_fuzz: FAIL at iteration %llu: %s (server "
+                   "died?)\n",
+                   static_cast<unsigned long long>(i),
+                   socket.error().c_str());
       return 1;
     }
     const std::string mutant = mutate(corpus, rng);
@@ -365,11 +284,11 @@ int main(int argc, char** argv) {
     chaser.id = pong_id;
     // Terminate the mutant with our own newline so the chaser is always
     // its own frame, whatever the mutant did to its framing.
-    const bool sent = send_all(fd, mutant) && send_all(fd, "\n") &&
-                      send_all(fd, chaser.to_json() + "\n");
+    const bool sent = socket.write_all(mutant + "\n" + chaser.to_json() +
+                                       "\n");
     const Outcome outcome =
-        sent ? await_pong(fd, pong_id, kDeadlineMs) : Outcome::kDropped;
-    ::close(fd);
+        sent ? await_pong(socket, pong_id, kDeadlineMs) : Outcome::kDropped;
+    socket.close();
     switch (outcome) {
       case Outcome::kSurvived:
         ++survived;
@@ -380,27 +299,26 @@ int main(int argc, char** argv) {
       case Outcome::kHang:
         std::fprintf(stderr,
                      "proto_fuzz: FAIL at iteration %llu (seed %llu): no "
-                     "reply within %d ms\n",
+                     "reply within %llu ms\n",
                      static_cast<unsigned long long>(i),
-                     static_cast<unsigned long long>(seed), kDeadlineMs);
+                     static_cast<unsigned long long>(seed),
+                     static_cast<unsigned long long>(kDeadlineMs));
         dump_mutant(mutant);
         return 1;
     }
   }
 
   // Clean shutdown proves the daemon is still fully in control.
-  const int fd = connect_to(socket_path);
-  if (fd < 0) {
+  if (!socket.connect(socket_path, kDeadlineMs)) {
     std::fprintf(stderr, "proto_fuzz: FAIL: server gone at shutdown\n");
     return 1;
   }
   Request shutdown_request;
   shutdown_request.type = RequestType::kShutdown;
   shutdown_request.id = "fz-shutdown";
-  send_all(fd, shutdown_request.to_json() + "\n");
-  const Outcome outcome = await_pong(fd, "fz-shutdown", kDeadlineMs);
-  ::close(fd);
-  serve_thread.join();
+  socket.write_all(shutdown_request.to_json() + "\n");
+  const Outcome outcome = await_pong(socket, "fz-shutdown", kDeadlineMs);
+  socket.close();
   if (outcome == Outcome::kHang) {
     std::fprintf(stderr, "proto_fuzz: FAIL: shutdown hung\n");
     return 1;
@@ -413,5 +331,3 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(seed));
   return 0;
 }
-
-#endif  // !defined(_WIN32)
