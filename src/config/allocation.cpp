@@ -25,11 +25,6 @@ AllocationVector AllocationVector::place(const FuCounts& counts,
   return alloc;
 }
 
-std::uint8_t AllocationVector::code(unsigned slot) const {
-  STEERSIM_EXPECTS(slot < num_slots());
-  return codes_[slot];
-}
-
 void AllocationVector::set_code(unsigned slot, std::uint8_t code) {
   STEERSIM_EXPECTS(slot < num_slots());
   STEERSIM_EXPECTS(code <= 0b111);

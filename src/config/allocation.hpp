@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/bitset.hpp"
+#include "common/contracts.hpp"
 #include "common/fixed_vector.hpp"
 #include "config/encoding.hpp"
 
@@ -42,7 +43,10 @@ class AllocationVector {
     return static_cast<unsigned>(codes_.size());
   }
 
-  std::uint8_t code(unsigned slot) const;
+  std::uint8_t code(unsigned slot) const {
+    STEERSIM_EXPECTS(slot < num_slots());
+    return codes_[slot];
+  }
   void set_code(unsigned slot, std::uint8_t code);
 
   /// Writes a whole unit region (head code + continuations).

@@ -122,6 +122,8 @@ class ConfigSelectionUnit {
 
  private:
   SteeringSet set_;
+  /// set_.preset_total() per preset: the constant stage-3 inputs.
+  std::array<FuCounts, kNumPresetConfigs> preset_totals_{};
   CemMode mode_;
   TieBreak tie_break_;
 };

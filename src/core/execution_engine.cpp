@@ -1,6 +1,7 @@
 #include "core/execution_engine.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/contracts.hpp"
 
@@ -28,27 +29,32 @@ void ExecutionEngine::begin_cycle(const AllocationVector& rfu_allocation) {
           UnitInstance{region.type, false, region.base, region.len});
     }
   }
+  // Head slots per type, for issue_view(): resource_vector() semantics,
+  // where any head code (even of a transiently truncated unit) drives its
+  // type's availability line while its slot is idle.
+  head_slots_ = {};
+  for (unsigned slot = 0; slot < rfu_allocation.num_slots(); ++slot) {
+    if (const auto type = type_from_encoding(rfu_allocation.code(slot))) {
+      head_slots_[fu_index(*type)].set(slot);
+    }
+  }
   last_allocation_ = rfu_allocation;
   units_cached_ = true;
-  configured_cache_ = FuCounts{};
+  unit_counts_ = {};
+  rfu_bases_ = {};
   for (const auto& unit : units_) {
-    auto& c = configured_cache_[fu_index(unit.type)];
-    if (c < 255) {
-      ++c;
+    ++unit_counts_[fu_index(unit.type)];
+    if (!unit.fixed) {
+      rfu_bases_[fu_index(unit.type)].set(unit.base);
     }
   }
 }
 
 bool ExecutionEngine::unit_busy(const UnitInstance& unit) const {
-  const auto matches = [&unit](const InFlight& f) {
+  return std::ranges::any_of(occupying(), [&unit](const InFlight& f) {
     return f.fixed == unit.fixed && f.base == unit.base &&
            f.type == unit.type;
-  };
-  if (pipelined_) {
-    // Only the initiation interval blocks: one issue per unit per cycle.
-    return std::ranges::any_of(issued_this_cycle_, matches);
-  }
-  return std::ranges::any_of(in_flight_, matches);
+  });
 }
 
 ResourceVector ExecutionEngine::resource_vector(
@@ -65,11 +71,7 @@ ResourceVector ExecutionEngine::resource_vector(
       ffu_avail[ffu_total++] = true;
     }
   }
-  // In pipelined mode a unit's availability port stays high while it
-  // drains (it can accept a new operation next cycle); only the
-  // initiation interval drives it low.
-  const auto& occupying = pipelined_ ? issued_this_cycle_ : in_flight_;
-  for (const auto& f : occupying) {
+  for (const auto& f : occupying()) {
     if (f.fixed) {
       // Locate the fixed unit's position in FuType-major order.
       unsigned ordinal = 0;
@@ -112,50 +114,40 @@ std::array<unsigned, kNumFuTypes> ExecutionEngine::free_units() const {
 }
 
 FuCounts ExecutionEngine::configured_units() const {
-  return configured_cache_;
+  FuCounts counts{};
+  for (unsigned t = 0; t < kNumFuTypes; ++t) {
+    counts[t] = static_cast<std::uint8_t>(std::min(unit_counts_[t], 255u));
+  }
+  return counts;
 }
 
 ExecutionEngine::IssueView ExecutionEngine::issue_view() const {
   IssueView view;
   // One pass over the occupancy list: per-type busy fixed-unit counts
-  // (assign never double-books a unit, so each record is a distinct unit)
-  // and the slot spans busy RFU units drive low.
+  // (assign never double-books a unit, so each record is a distinct unit),
+  // the base slots of busy RFU units, and the slot spans they drive low.
   std::array<unsigned, kNumFuTypes> busy_ffu{};
+  std::array<SlotMask, kNumFuTypes> busy_bases{};
   SlotMask busy_spans;
-  const auto& occupying = pipelined_ ? issued_this_cycle_ : in_flight_;
-  for (const auto& f : occupying) {
+  for (const auto& f : occupying()) {
     if (f.fixed) {
       ++busy_ffu[fu_index(f.type)];
     } else {
+      busy_bases[fu_index(f.type)].set(f.base);
       const unsigned len = slot_cost(f.type);
       for (unsigned i = 0; i < len; ++i) {
         busy_spans.set(f.base + i);
       }
     }
   }
+  // RFU availability: an idle head slot of the type (resource_vector()
+  // semantics, head masks cached per allocation in begin_cycle). Free
+  // counts: idle fixed units plus complete RFU units whose base is idle.
+  const SlotMask idle = ~busy_spans;
   for (unsigned t = 0; t < kNumFuTypes; ++t) {
-    view.free[t] = ffu_[t] - busy_ffu[t];
-    view.available[t] = view.free[t] > 0;
-  }
-  // RFU availability reads the per-slot head codes (resource_vector
-  // semantics: a transiently truncated head still drives its type's
-  // availability line); free counts come from the complete-unit list.
-  for (unsigned slot = 0; slot < last_allocation_.num_slots(); ++slot) {
-    const auto type = type_from_encoding(last_allocation_.code(slot));
-    if (type.has_value() && !busy_spans.test(slot)) {
-      view.available[fu_index(*type)] = true;
-    }
-  }
-  for (const auto& unit : units_) {
-    if (unit.fixed) {
-      continue;
-    }
-    const bool busy = std::ranges::any_of(occupying, [&unit](const InFlight& f) {
-      return !f.fixed && f.base == unit.base && f.type == unit.type;
-    });
-    if (!busy) {
-      ++view.free[fu_index(unit.type)];
-    }
+    const unsigned free_ffu = ffu_[t] - busy_ffu[t];
+    view.available[t] = free_ffu > 0 || (head_slots_[t] & idle).any();
+    view.free[t] = free_ffu + (rfu_bases_[t] & ~busy_bases[t]).count();
   }
   return view;
 }
@@ -163,28 +155,34 @@ ExecutionEngine::IssueView ExecutionEngine::issue_view() const {
 bool ExecutionEngine::assign(FuType t, unsigned latency,
                              unsigned wakeup_row) {
   STEERSIM_EXPECTS(latency >= 1);
-  // Prefer fixed units so RFU slots stay reconfigurable as long as
-  // possible; among RFUs pick the lowest base.
-  const UnitInstance* chosen = nullptr;
-  for (const auto& unit : units_) {
-    if (unit.type != t || unit_busy(unit)) {
-      continue;
-    }
-    if (chosen == nullptr || (unit.fixed && !chosen->fixed)) {
-      chosen = &unit;
+  // Prefer fixed units (lowest ordinal) so RFU slots stay reconfigurable as
+  // long as possible; among RFUs pick the lowest base.
+  const unsigned ti = fu_index(t);
+  std::optional<InFlight> record;
+  for (unsigned n = 0; n < ffu_[ti] && !record.has_value(); ++n) {
+    if (!unit_busy(UnitInstance{t, true, n, 1})) {
+      record = InFlight{t, true, n, latency, wakeup_row};
     }
   }
-  if (chosen == nullptr) {
-    return false;
+  if (!record.has_value()) {
+    SlotMask busy_bases;
+    for (const auto& f : occupying()) {
+      if (!f.fixed && f.type == t) {
+        busy_bases.set(f.base);
+      }
+    }
+    const SlotMask idle = rfu_bases_[ti] & ~busy_bases;
+    if (idle.none()) {
+      return false;
+    }
+    record = InFlight{t, false, idle.lowest(), latency, wakeup_row};
   }
-  const InFlight record{chosen->type, chosen->fixed, chosen->base, latency,
-                        wakeup_row};
-  in_flight_.push_back(record);
+  in_flight_.push_back(*record);
   if (pipelined_) {
-    issued_this_cycle_.push_back(record);
+    issued_this_cycle_.push_back(*record);
   }
   ++stats_.issues;
-  ++stats_.issues_by_type[fu_index(t)];
+  ++stats_.issues_by_type[ti];
   return true;
 }
 
@@ -241,8 +239,8 @@ SlotMask ExecutionEngine::slot_busy() const {
 }
 
 void ExecutionEngine::note_utilization() {
-  for (const auto& unit : units_) {
-    ++stats_.configured_unit_cycles[fu_index(unit.type)];
+  for (unsigned t = 0; t < kNumFuTypes; ++t) {
+    stats_.configured_unit_cycles[t] += unit_counts_[t];
   }
   for (const auto& f : in_flight_) {
     ++stats_.busy_unit_cycles[fu_index(f.type)];
@@ -267,8 +265,8 @@ void ExecutionEngine::fast_forward(std::uint64_t cycles) {
     STEERSIM_EXPECTS(f.remaining > cycles);
     f.remaining -= static_cast<unsigned>(cycles);
   }
-  for (const auto& unit : units_) {
-    stats_.configured_unit_cycles[fu_index(unit.type)] += cycles;
+  for (unsigned t = 0; t < kNumFuTypes; ++t) {
+    stats_.configured_unit_cycles[t] += cycles * unit_counts_[t];
   }
   for (const auto& f : in_flight_) {
     stats_.busy_unit_cycles[fu_index(f.type)] += cycles;

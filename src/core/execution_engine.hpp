@@ -143,6 +143,13 @@ class ExecutionEngine {
     unsigned wakeup_row = 0;
   };
 
+  /// The records that make a unit unavailable this cycle. In pipelined
+  /// mode a unit's availability port stays high while it drains (it can
+  /// accept a new operation next cycle); only the initiation interval
+  /// (one issue per unit per cycle) drives it low.
+  const std::vector<InFlight>& occupying() const {
+    return pipelined_ ? issued_this_cycle_ : in_flight_;
+  }
   bool unit_busy(const UnitInstance& unit) const;
 
   FuCounts ffu_;
@@ -151,8 +158,12 @@ class ExecutionEngine {
   /// begin_cycle() rebuild cache: the allocation units_ was built from.
   AllocationVector last_allocation_;
   bool units_cached_ = false;
-  /// configured_units() of the cached unit list.
-  FuCounts configured_cache_{};
+  /// Unit instances per type in the cached list.
+  std::array<unsigned, kNumFuTypes> unit_counts_{};
+  /// Per type, the cached allocation's slots holding that type's head code.
+  std::array<SlotMask, kNumFuTypes> head_slots_{};
+  /// Per type, the base slots of the cached list's complete RFU units.
+  std::array<SlotMask, kNumFuTypes> rfu_bases_{};
   std::vector<InFlight> in_flight_;
   /// Pipelined mode: units that accepted an operation this cycle (the
   /// initiation-interval constraint).

@@ -212,6 +212,7 @@ std::optional<std::uint64_t> Processor::load_clear_to_issue(
 }
 
 void Processor::stage_retire() {
+  STEERSIM_STAGE_SCOPE(stage_profile_, Stage::kRetire);
   for (unsigned n = 0; n < config_.retire_width && !ruu_.empty(); ++n) {
     RuuEntry& head = ruu_.at(0);
     if (head.state != RuuState::kDone) {
@@ -325,6 +326,7 @@ void Processor::stage_faults() {
 }
 
 void Processor::stage_complete() {
+  STEERSIM_STAGE_SCOPE(stage_profile_, Stage::kComplete);
   const auto completed_rows = engine_.step();
   // Snapshot (row, tag) pairs before any squash can recycle a row, then
   // resolve oldest-first so an older mispredict squashes younger
@@ -377,6 +379,7 @@ void Processor::stage_complete() {
 }
 
 void Processor::stage_issue() {
+  STEERSIM_STAGE_SCOPE(stage_profile_, Stage::kIssue);
   // Issue consults the *effective* allocation: units overlapping corrupted
   // or fenced slots are masked out so nothing issues to broken hardware.
   // Without faults this is exactly loader_.allocation().
@@ -565,11 +568,13 @@ SteerContext Processor::steer_context() {
 }
 
 void Processor::stage_steer() {
+  STEERSIM_STAGE_SCOPE(stage_profile_, Stage::kSteer);
   policy_->steer(steer_context(), loader_);
   loader_.step(engine_.slot_busy());
 }
 
 std::uint64_t Processor::try_skip(std::uint64_t budget) {
+  STEERSIM_STAGE_SCOPE(stage_profile_, Stage::kSkip);
   if (!skip_eligible_ || budget == 0) {
     return 0;
   }
@@ -588,14 +593,14 @@ std::uint64_t Processor::try_skip(std::uint64_t budget) {
   if (ruu_.empty() || ruu_.at(0).state == RuuState::kDone) {
     return 0;
   }
-  // The loader must be a pure cycle counter for the whole window.
-  if (!loader_.quiescent()) {
-    return 0;
-  }
   // Nothing completes during the window: every in-flight op needs at least
   // min_remaining cycles, so k <= min_remaining - 1 keeps them in flight.
   const unsigned min_rem = engine_.min_remaining();
   if (min_rem < 2) {
+    return 0;
+  }
+  // The loader must be a pure cycle counter for the whole window.
+  if (!loader_.quiescent()) {
     return 0;
   }
   // Nothing can issue this cycle (and therefore for the whole window: the
@@ -724,6 +729,7 @@ void Processor::perform_rollback() {
 }
 
 void Processor::stage_dispatch() {
+  STEERSIM_STAGE_SCOPE(stage_profile_, Stage::kDispatch);
   std::size_t consumed = 0;
   while (consumed < decode_buffer_.size() && !ruu_.full() &&
          !wakeup_.full()) {
@@ -737,8 +743,7 @@ void Processor::stage_dispatch() {
     const std::uint64_t src2 =
         ruu_.latest_producer(info.rs2_class, fi.inst.rs2);
 
-    RuuEntry& entry = ruu_.allocate();
-    entry.inst = fi.inst;
+    RuuEntry& entry = ruu_.allocate(fi.inst);
     entry.pc = fi.pc;
     entry.predicted_next = fi.predicted_next;
     entry.actual_next = fi.pc + 1;
@@ -771,6 +776,7 @@ void Processor::stage_dispatch() {
 }
 
 void Processor::stage_fetch() {
+  STEERSIM_STAGE_SCOPE(stage_profile_, Stage::kFetch);
   if (decode_buffer_.size() + config_.fetch_width >
       decode_buffer_.capacity()) {
     return;  // decode buffer full; front end stalls
@@ -809,11 +815,13 @@ MetricRegistry Processor::live_metrics() const {
 }
 
 void Processor::maybe_sample() {
+  STEERSIM_STAGE_SCOPE(stage_profile_, Stage::kSample);
   if (sampler_ != nullptr && sampler_->due(stats_.cycles)) {
     sampler_->sample(live_metrics(), stats_.cycles);
     if (tracer_ != nullptr) {
       // Window boundary: drain the tracer's event ring so trace output
       // advances in lockstep with the sampled telemetry.
+      STEERSIM_STAGE_SCOPE(stage_profile_, Stage::kTraceFlush);
       tracer_->flush();
     }
   }

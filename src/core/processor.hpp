@@ -40,6 +40,7 @@
 #include "memory/cache.hpp"
 #include "memory/data_memory.hpp"
 #include "memory/register_file.hpp"
+#include "obs/profile.hpp"
 #include "obs/sampler.hpp"
 #include "sched/select_logic.hpp"
 
@@ -231,6 +232,11 @@ class Processor {
     retire_hook_ = std::move(hook);
   }
 
+#ifdef STEERSIM_PROFILE_STAGES
+  /// Exclusive host wall time per pipeline stage since construction.
+  const StageProfile& stage_profile() const { return stage_profile_; }
+#endif
+
   /// Requirement encoding of the current ready set (the per-core demand
   /// signal the multi-core fabric's proportional-share arbiter samples).
   /// Reuses the steer stage's memoized ready list, so interleaving calls
@@ -346,6 +352,9 @@ class Processor {
   std::uint64_t stall_retired_ = 0;
   std::uint64_t stall_window_ = 0;
   std::string fault_message_;
+#ifdef STEERSIM_PROFILE_STAGES
+  StageProfile stage_profile_;
+#endif
 };
 
 }  // namespace steersim

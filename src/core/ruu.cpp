@@ -1,69 +1,55 @@
 #include "core/ruu.hpp"
 
-#include "common/contracts.hpp"
-
 namespace steersim {
 
 RegisterUpdateUnit::RegisterUpdateUnit(unsigned capacity) : ring_(capacity) {
   STEERSIM_EXPECTS(capacity >= 1);
+  rebuild_rename_map();
 }
 
-RuuEntry& RegisterUpdateUnit::allocate() {
+std::uint64_t* RegisterUpdateUnit::rename_slot(const RuuEntry& entry) {
+  if (!entry.writes_reg()) {
+    return nullptr;
+  }
+  STEERSIM_EXPECTS(entry.inst.rd < kNumIntRegs);
+  return &rename_[rename_class(op_info(entry.inst.op).rd_class)]
+                 [entry.inst.rd];
+}
+
+RuuEntry& RegisterUpdateUnit::allocate(const Instruction& inst) {
   STEERSIM_EXPECTS(!full());
-  const unsigned slot = (head_ + count_) % capacity();
+  RuuEntry& entry = ring_[ring_index(count_)];
   ++count_;
-  RuuEntry& entry = ring_[slot];
   entry = RuuEntry{};
+  entry.inst = inst;
   entry.id = next_id_++;
+  if (std::uint64_t* slot = rename_slot(entry)) {
+    *slot = entry.id;
+  }
   return entry;
 }
 
-RuuEntry& RegisterUpdateUnit::at(unsigned pos) {
-  STEERSIM_EXPECTS(pos < count_);
-  return ring_[(head_ + pos) % capacity()];
-}
-
-const RuuEntry& RegisterUpdateUnit::at(unsigned pos) const {
-  STEERSIM_EXPECTS(pos < count_);
-  return ring_[(head_ + pos) % capacity()];
-}
-
-RuuEntry* RegisterUpdateUnit::find(std::uint64_t id) {
-  if (count_ == 0) {
-    return nullptr;
+void RegisterUpdateUnit::retire_head() {
+  STEERSIM_EXPECTS(count_ > 0);
+  const RuuEntry& head = ring_[head_];
+  if (std::uint64_t* slot = rename_slot(head); slot != nullptr &&
+                                               *slot == head.id) {
+    *slot = kNoProducer;
   }
-  const std::uint64_t head_id = ring_[head_].id;
-  if (id < head_id || id >= head_id + count_) {
-    return nullptr;
-  }
-  return &at(static_cast<unsigned>(id - head_id));
+  head_ = ring_index(1);
+  --count_;
 }
 
-const RuuEntry* RegisterUpdateUnit::find(std::uint64_t id) const {
-  return const_cast<RegisterUpdateUnit*>(this)->find(id);
-}
-
-std::uint64_t RegisterUpdateUnit::latest_producer(RegClass cls,
-                                                  std::uint8_t reg) const {
-  if (cls == RegClass::kNone || (cls == RegClass::kInt && reg == 0)) {
-    return kNoProducer;
+void RegisterUpdateUnit::rebuild_rename_map() {
+  for (auto& row : rename_) {
+    row.fill(kNoProducer);
   }
-  for (unsigned pos = count_; pos > 0; --pos) {
-    const RuuEntry& entry = at(pos - 1);
-    const OpInfo& info = op_info(entry.inst.op);
-    if (info.rd_class == cls && entry.inst.rd == reg) {
-      return entry.id;
+  for (unsigned pos = 0; pos < count_; ++pos) {
+    const RuuEntry& entry = at(pos);
+    if (std::uint64_t* slot = rename_slot(entry)) {
+      *slot = entry.id;
     }
   }
-  return kNoProducer;
-}
-
-RuuEntry RegisterUpdateUnit::retire_head() {
-  STEERSIM_EXPECTS(count_ > 0);
-  RuuEntry entry = ring_[head_];
-  head_ = (head_ + 1) % capacity();
-  --count_;
-  return entry;
 }
 
 }  // namespace steersim

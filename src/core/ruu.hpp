@@ -8,11 +8,23 @@
 // which also makes misprediction recovery a simple truncate-younger), and
 // the store buffer (stores commit to memory at retirement; younger loads
 // forward from matching older stores).
+//
+// The dependency buffer is a rename map: one slot per (register class,
+// register) holding the id of the youngest in-flight entry that writes it,
+// or kNoProducer. allocate() points the destination's slot at the new
+// entry; retire_head() clears a slot only while it still names the retiring
+// entry (a younger writer may have taken it since); a squash rebuilds the
+// map from the surviving entries, oldest to youngest. latest_producer() is
+// therefore one array read, and always equals a youngest-first walk of the
+// window for the first entry whose destination matches. Integer r0 is
+// hardwired to zero and never gets a slot; FP f0 is a real register.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "isa/instruction.hpp"
 
 namespace steersim {
@@ -68,6 +80,9 @@ struct RuuEntry {
   }
 };
 
+// One rename-map row width serves both register files.
+static_assert(kNumIntRegs == kNumFpRegs);
+
 class RegisterUpdateUnit {
  public:
   explicit RegisterUpdateUnit(unsigned capacity);
@@ -79,23 +94,50 @@ class RegisterUpdateUnit {
   bool full() const { return count_ == capacity(); }
   bool empty() const { return count_ == 0; }
 
-  /// Allocates the next (youngest) entry; RUU must not be full.
-  RuuEntry& allocate();
+  /// Allocates the next (youngest) entry for `inst` and makes it the
+  /// latest producer of its destination register; RUU must not be full.
+  /// The entry's instruction is fixed from here on (the rename map reads
+  /// it).
+  RuuEntry& allocate(const Instruction& inst);
 
   /// Entry by position, 0 = oldest.
-  RuuEntry& at(unsigned pos);
-  const RuuEntry& at(unsigned pos) const;
+  RuuEntry& at(unsigned pos) {
+    STEERSIM_EXPECTS(pos < count_);
+    return ring_[ring_index(pos)];
+  }
+  const RuuEntry& at(unsigned pos) const {
+    STEERSIM_EXPECTS(pos < count_);
+    return ring_[ring_index(pos)];
+  }
 
-  /// Entry by id; null if it already retired (or never existed).
-  RuuEntry* find(std::uint64_t id);
-  const RuuEntry* find(std::uint64_t id) const;
+  /// Entry by id; null if it already retired (or never existed). Live ids
+  /// are contiguous from the head's, so this is O(1).
+  RuuEntry* find(std::uint64_t id) {
+    if (count_ == 0) {
+      return nullptr;
+    }
+    const std::uint64_t head_id = ring_[head_].id;
+    if (id < head_id || id >= head_id + count_) {
+      return nullptr;
+    }
+    return &ring_[ring_index(static_cast<unsigned>(id - head_id))];
+  }
+  const RuuEntry* find(std::uint64_t id) const {
+    return const_cast<RegisterUpdateUnit*>(this)->find(id);
+  }
 
   /// Latest in-flight producer of (`cls`, `reg`), or kNoProducer. Integer
   /// r0 never has a producer.
-  std::uint64_t latest_producer(RegClass cls, std::uint8_t reg) const;
+  std::uint64_t latest_producer(RegClass cls, std::uint8_t reg) const {
+    if (cls == RegClass::kNone) {
+      return kNoProducer;
+    }
+    STEERSIM_EXPECTS(reg < kNumIntRegs);
+    return rename_[rename_class(cls)][reg];
+  }
 
   /// Pops the oldest entry (must be kDone or the caller knows better).
-  RuuEntry retire_head();
+  void retire_head();
 
   /// Removes every entry younger than `id`; invokes `on_squash(entry)` for
   /// each (youngest-first) so the caller can clear wake-up rows / units.
@@ -112,10 +154,13 @@ class RegisterUpdateUnit {
       ++squashed;
     }
     // Squashed ids are reusable: every reference to them (wake-up rows,
-    // decode buffer, younger entries' producer links) dies with the squash.
-    // Rolling the counter back keeps live ids contiguous, which find()
-    // relies on for O(1) lookup.
+    // decode buffer, younger entries' producer links, rename map slots)
+    // dies with the squash. Rolling the counter back keeps live ids
+    // contiguous, which find() relies on for O(1) lookup.
     next_id_ -= squashed;
+    if (squashed > 0) {
+      rebuild_rename_map();
+    }
     return squashed;
   }
 
@@ -130,16 +175,30 @@ class RegisterUpdateUnit {
       --count_;
     }
     next_id_ -= squashed;
+    rebuild_rename_map();
     return squashed;
   }
 
-  void clear() { count_ = 0; }
-
  private:
+  /// Rename map row of a register class (int 0, fp 1); never kNone.
+  static unsigned rename_class(RegClass cls) {
+    return cls == RegClass::kFp ? 1 : 0;
+  }
+  unsigned ring_index(unsigned pos) const {
+    const unsigned slot = head_ + pos;
+    return slot >= capacity() ? slot - capacity() : slot;
+  }
+  /// The rename slot `entry` writes, or null (no destination, or int r0).
+  std::uint64_t* rename_slot(const RuuEntry& entry);
+  /// Recomputes the rename map from the in-flight entries.
+  void rebuild_rename_map();
+
   std::vector<RuuEntry> ring_;
   std::uint64_t next_id_ = 0;
   unsigned head_ = 0;  ///< ring index of the oldest entry
   unsigned count_ = 0;
+  /// Youngest in-flight producer id per (class, register).
+  std::array<std::array<std::uint64_t, kNumIntRegs>, 2> rename_{};
 };
 
 }  // namespace steersim

@@ -190,9 +190,4 @@ unsigned WakeupArray::min_timer() const {
   return min;
 }
 
-const WakeupEntry& WakeupArray::entry(unsigned idx) const {
-  STEERSIM_EXPECTS(idx < num_entries());
-  return entries_[idx];
-}
-
 }  // namespace steersim

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/bitset.hpp"
+#include "common/contracts.hpp"
 #include "common/fixed_vector.hpp"
 #include "isa/fu_type.hpp"
 
@@ -130,7 +131,10 @@ class WakeupArray {
   /// count at which a result-available line can assert.
   unsigned min_timer() const;
 
-  const WakeupEntry& entry(unsigned idx) const;
+  const WakeupEntry& entry(unsigned idx) const {
+    STEERSIM_EXPECTS(idx < num_entries());
+    return entries_[idx];
+  }
   /// Valid rows in oldest-first order. The order is maintained
   /// incrementally (ages are assigned monotonically, so insert appends and
   /// retire/squash remove); the span stays valid until the next insert,

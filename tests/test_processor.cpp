@@ -14,6 +14,14 @@
 namespace steersim {
 namespace {
 
+#ifndef STEERSIM_PROFILE_STAGES
+// The default build carries no stage timers: Processor has no profile
+// accessor (and no profile member behind it).
+template <typename P>
+constexpr bool kHasStageProfile = requires(const P& p) { p.stage_profile(); };
+static_assert(!kHasStageProfile<Processor>);
+#endif
+
 MachineConfig small_machine() {
   MachineConfig cfg;
   cfg.loader.cycles_per_slot = 4;
